@@ -1,9 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulation substrate: the
- * event kernel, the GPU power model, and an end-to-end simulated
- * cluster-hour, so performance regressions in the simulator itself
- * are visible.
+ * event kernel, the GPU and server power models, and an end-to-end
+ * simulated cluster-hour, so performance regressions in the simulator
+ * itself are visible.
  */
 
 #include <benchmark/benchmark.h>
@@ -17,6 +17,7 @@
 #include "llm/phase_model.hh"
 #include "obs/observability.hh"
 #include "power/gpu_power_model.hh"
+#include "power/server_model.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/timeseries.hh"
@@ -57,6 +58,7 @@ BM_EventQueuePostRun(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueuePostRun)->Arg(1000)->Arg(100000);
 
+/** A read of the stored GPU power: the formula runs in the mutators. */
 void
 BM_GpuPowerEvaluation(benchmark::State &state)
 {
@@ -68,6 +70,54 @@ BM_GpuPowerEvaluation(benchmark::State &state)
     }
 }
 BENCHMARK(BM_GpuPowerEvaluation);
+
+/** The clock-change refresh: two std::pow plus the power formula. */
+void
+BM_GpuClockChange(benchmark::State &state)
+{
+    power::GpuPowerModel gpu(power::GpuSpec::a100_80gb());
+    gpu.setActivity({0.8, 0.6});
+    const std::vector<double> clocks{1110.0, 1275.0};
+    std::size_t flip = 0;
+    for (auto _ : state) {
+        gpu.lockClock(clocks[flip++ & 1]);
+        benchmark::DoNotOptimize(gpu.powerWatts());
+    }
+}
+BENCHMARK(BM_GpuClockChange);
+
+/** A read of one server's power: what every domain sample sums. */
+void
+BM_ServerPower(benchmark::State &state)
+{
+    power::ServerModel server(power::ServerSpec::dgxA100_80gb());
+    server.setActivityAll({0.55, 0.9});
+    server.lockClockAll(1275.0);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(server.powerWatts());
+    }
+}
+BENCHMARK(BM_ServerPower);
+
+/**
+ * A phase change on one server: all 8 GPUs get new activity and the
+ * server total is refreshed.  Alternates prompt- and token-like
+ * activity so every call changes the inputs.
+ */
+void
+BM_ServerSetActivity(benchmark::State &state)
+{
+    power::ServerModel server(power::ServerSpec::dgxA100_80gb());
+    server.lockClockAll(1275.0);
+    const std::vector<power::GpuActivity> activities{{1.05, 0.5},
+                                                     {0.35, 0.9}};
+    std::size_t flip = 0;
+    for (auto _ : state) {
+        server.setActivityAll(activities[flip++ & 1]);
+        benchmark::DoNotOptimize(server.powerWatts());
+    }
+}
+BENCHMARK(BM_ServerSetActivity);
 
 void
 BM_CapControllerStep(benchmark::State &state)

@@ -185,25 +185,33 @@ Dispatcher::pickServer(workload::Priority p)
 
     // Prefer idle servers, then servers with buffer room; pick
     // uniformly at random within the preferred class (load
-    // balancing without a shared queue).
-    std::vector<InferenceServer *> idle;
-    std::vector<InferenceServer *> buffered;
-    for (InferenceServer *server : servers) {
+    // balancing without a shared queue).  Count the class, draw an
+    // index into it, then walk to that match: no per-request
+    // allocation.
+    std::size_t idle = 0;
+    std::size_t buffered = 0;
+    for (const InferenceServer *server : servers) {
         if (server->idleNow())
-            idle.push_back(server);
+            ++idle;
         else if (server->bufferFree())
-            buffered.push_back(server);
+            ++buffered;
     }
-    auto pick = [this](std::vector<InferenceServer *> &candidates) {
-        auto i = static_cast<std::size_t>(rng_.uniformInt(
-            0, static_cast<std::int64_t>(candidates.size()) - 1));
-        return candidates[i];
-    };
-    if (!idle.empty())
-        return pick(idle);
-    if (!buffered.empty())
-        return pick(buffered);
-    return nullptr;
+    std::size_t candidates = idle > 0 ? idle : buffered;
+    if (candidates == 0)
+        return nullptr;
+    auto k = static_cast<std::size_t>(rng_.uniformInt(
+        0, static_cast<std::int64_t>(candidates) - 1));
+    // With no idle server the buffered class is every server with
+    // buffer room.
+    for (InferenceServer *server : servers) {
+        bool match = idle > 0 ? server->idleNow() : server->bufferFree();
+        if (!match)
+            continue;
+        if (k == 0)
+            return server;
+        --k;
+    }
+    sim::panic("Dispatcher: pick index past the candidate class");
 }
 
 void

@@ -150,8 +150,7 @@ void
 InferenceServer::setPhaseActivity()
 {
     if (!active_.has_value()) {
-        for (std::size_t g : usedGpus_)
-            server_.gpu(g).setActivity(power::GpuActivity::idle());
+        server_.setActivity(usedGpus_, power::GpuActivity::idle());
         return;
     }
     llm::InferenceConfig config = configFor(active_->requests);
@@ -159,8 +158,7 @@ InferenceServer::setPhaseActivity()
         phases_.activity(active_->phase, config);
     activity.compute *= powerScale_;
     activity.memory = std::min(activity.memory * powerScale_, 1.2);
-    for (std::size_t g : usedGpus_)
-        server_.gpu(g).setActivity(activity);
+    server_.setActivity(usedGpus_, activity);
 }
 
 void

@@ -26,8 +26,7 @@ SegmentExecutor::SegmentExecutor(power::ServerModel &server,
 void
 SegmentExecutor::setActivity(const power::GpuActivity &activity)
 {
-    for (std::size_t id : gpuIds_)
-        server_.gpu(id).setActivity(activity);
+    server_.setActivity(gpuIds_, activity);
 }
 
 void

@@ -13,6 +13,7 @@ GpuPowerModel::GpuPowerModel(GpuSpec spec)
 {
     if (spec_.tdpWatts <= 0.0 || spec_.maxSmClockMhz <= 0.0)
         sim::fatal("GpuPowerModel: invalid spec '", spec_.name, "'");
+    refreshClock();
 }
 
 void
@@ -21,20 +22,28 @@ GpuPowerModel::setActivity(const GpuActivity &activity)
     POLCA_CHECK(activity.compute >= 0.0 && activity.memory >= 0.0,
                 "negative activity (", activity.compute, ", ",
                 activity.memory, ")");
+    if (activity.compute == activity_.compute &&
+        activity.memory == activity_.memory)
+        return;
     activity_ = activity;
+    watts_ = wattsAt(computeClockFactor_, memoryClockFactor_);
 }
 
 void
 GpuPowerModel::lockClock(double mhz)
 {
+    double before = effectiveClockMhz();
     lockedClockMhz_ = std::clamp(mhz, spec_.minSmClockMhz,
                                  spec_.maxSmClockMhz);
+    refreshIfClockMoved(before);
 }
 
 void
 GpuPowerModel::unlockClock()
 {
+    double before = effectiveClockMhz();
     lockedClockMhz_ = 0.0;
+    refreshIfClockMoved(before);
 }
 
 void
@@ -47,14 +56,18 @@ GpuPowerModel::setPowerCap(double watts)
 void
 GpuPowerModel::clearPowerCap()
 {
+    double before = effectiveClockMhz();
     capWatts_ = 0.0;
     capThrottleClockMhz_ = spec_.maxSmClockMhz;
+    refreshIfClockMoved(before);
 }
 
 void
 GpuPowerModel::setPowerBrake(bool engaged)
 {
+    double before = effectiveClockMhz();
     brakeEngaged_ = engaged;
+    refreshIfClockMoved(before);
 }
 
 double
@@ -72,36 +85,50 @@ GpuPowerModel::effectiveClockMhz() const
 }
 
 double
-GpuPowerModel::powerAtClock(double mhz) const
+GpuPowerModel::wattsAt(double computeFactor, double memoryFactor) const
 {
-    double ratio = std::clamp(mhz / spec_.maxSmClockMhz, 0.0, 1.0);
     double compute = activity_.compute * spec_.computeDynWatts *
-        std::pow(ratio, spec_.computeClockExponent);
+        computeFactor;
     double memory = activity_.memory * spec_.memoryDynWatts *
-        std::pow(ratio, spec_.memoryClockExponent);
+        memoryFactor;
     return spec_.idleWatts + compute + memory;
 }
 
 double
-GpuPowerModel::powerWatts() const
+GpuPowerModel::powerAtClock(double mhz) const
 {
-    return powerAtClock(effectiveClockMhz());
+    double ratio = std::clamp(mhz / spec_.maxSmClockMhz, 0.0, 1.0);
+    return wattsAt(std::pow(ratio, spec_.computeClockExponent),
+                   std::pow(ratio, spec_.memoryClockExponent));
+}
+
+void
+GpuPowerModel::refreshClock()
+{
+    double ratio = std::clamp(effectiveClockMhz() / spec_.maxSmClockMhz,
+                              0.0, 1.0);
+    computeClockFactor_ = std::pow(ratio, spec_.computeClockExponent);
+    memoryClockFactor_ = std::pow(ratio, spec_.memoryClockExponent);
+    watts_ = wattsAt(computeClockFactor_, memoryClockFactor_);
+}
+
+void
+GpuPowerModel::refreshIfClockMoved(double beforeMhz)
+{
+    if (effectiveClockMhz() != beforeMhz)
+        refreshClock();
 }
 
 void
 GpuPowerModel::stepCapController()
 {
+    double clock = effectiveClockMhz();
+    double p = watts_;
     if (!powerCapped()) {
         capThrottleClockMhz_ = spec_.maxSmClockMhz;
-        return;
-    }
-
-    double p = powerWatts();
-    double clock = effectiveClockMhz();
-    if (brakeEngaged_)
+    } else if (brakeEngaged_) {
         return;  // brake overrides; nothing to adjust
-
-    if (p > capWatts_) {
+    } else if (p > capWatts_) {
         // Throttle proportionally to the overshoot, at most 12 % per
         // control period.  Reacting takes a few periods, which is why
         // prompt spikes escape the cap (Fig 9b).
@@ -116,6 +143,7 @@ GpuPowerModel::stepCapController()
         capThrottleClockMhz_ = std::min(
             capThrottleClockMhz_ * 1.03, targetClockMhz());
     }
+    refreshIfClockMoved(clock);
 }
 
 double

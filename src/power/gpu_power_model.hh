@@ -41,6 +41,12 @@ struct GpuActivity
  *
  * The effective clock is min(locked clock, cap-throttle clock), or the
  * brake clock when the brake is engaged.
+ *
+ * Power is stored state, not computed on read: every mutator refreshes
+ * watts_ eagerly (and the clock factors when the effective clock
+ * moves), so powerWatts() is a load and a copy carries a cache that is
+ * consistent with its inputs.  The stored value is bit-identical to
+ * powerAtClock(effectiveClockMhz()).
  */
 class GpuPowerModel
 {
@@ -85,7 +91,7 @@ class GpuPowerModel
     double effectiveClockMhz() const;
 
     /** Instantaneous power draw at the current activity/clock. */
-    double powerWatts() const;
+    double powerWatts() const { return watts_; }
 
     /** Power that the current activity would draw at clock @p mhz. */
     double powerAtClock(double mhz) const;
@@ -116,12 +122,26 @@ class GpuPowerModel
     /** Clock ceiling requested by lock (or max when unlocked). */
     double targetClockMhz() const;
 
+    /** Power of the current activity under the given clock factors. */
+    double wattsAt(double computeFactor, double memoryFactor) const;
+
+    /** Recompute the clock factors and watts_ at the effective clock. */
+    void refreshClock();
+
+    /** refreshClock() unless the effective clock is still
+     *  @p beforeMhz. */
+    void refreshIfClockMoved(double beforeMhz);
+
     GpuSpec spec_;
     GpuActivity activity_;
     double lockedClockMhz_ = 0.0;   ///< 0 = unlocked
     double capWatts_ = 0.0;         ///< 0 = uncapped
     double capThrottleClockMhz_;    ///< cap controller's clock ceiling
     bool brakeEngaged_ = false;
+    /** (effective clock / max clock)^exponent, compute and memory. */
+    double computeClockFactor_ = 1.0;
+    double memoryClockFactor_ = 1.0;
+    double watts_ = 0.0;            ///< powerAtClock(effectiveClockMhz())
 };
 
 } // namespace polca::power

@@ -78,6 +78,7 @@ ServerModel::ServerModel(ServerSpec spec)
     gpus_.reserve(spec_.numGpus);
     for (std::size_t i = 0; i < spec_.numGpus; ++i)
         gpus_.emplace_back(spec_.gpu);
+    refresh();
 }
 
 double
@@ -90,19 +91,43 @@ ServerModel::gpuPowerWatts() const
 }
 
 double
-ServerModel::hostPowerWatts() const
+ServerModel::hostPowerAt(double gpuWatts) const
 {
     double gpuIdle = static_cast<double>(gpus_.size()) *
         spec_.gpu.idleWatts;
-    double gpuDynamic = std::max(0.0, gpuPowerWatts() - gpuIdle);
+    double gpuDynamic = std::max(0.0, gpuWatts - gpuIdle);
     return spec_.hostIdleWatts +
         spec_.hostGpuTrackingFactor * gpuDynamic;
 }
 
 double
-ServerModel::powerWatts() const
+ServerModel::hostPowerWatts() const
 {
-    return hostPowerWatts() + gpuPowerWatts();
+    return hostPowerAt(gpuPowerWatts());
+}
+
+void
+ServerModel::refresh()
+{
+    double gpuWatts = gpuPowerWatts();
+    watts_ = hostPowerAt(gpuWatts) + gpuWatts;
+}
+
+void
+ServerModel::setActivity(const std::vector<std::size_t> &gpuIds,
+                         const GpuActivity &activity)
+{
+    for (std::size_t id : gpuIds)
+        gpus_.at(id).setActivity(activity);
+    refresh();
+}
+
+void
+ServerModel::lockClock(const std::vector<std::size_t> &gpuIds, double mhz)
+{
+    for (std::size_t id : gpuIds)
+        gpus_.at(id).lockClock(mhz);
+    refresh();
 }
 
 void
@@ -110,6 +135,7 @@ ServerModel::setActivityAll(const GpuActivity &activity)
 {
     for (auto &gpu : gpus_)
         gpu.setActivity(activity);
+    refresh();
 }
 
 void
@@ -117,6 +143,7 @@ ServerModel::lockClockAll(double mhz)
 {
     for (auto &gpu : gpus_)
         gpu.lockClock(mhz);
+    refresh();
 }
 
 void
@@ -124,6 +151,7 @@ ServerModel::unlockClockAll()
 {
     for (auto &gpu : gpus_)
         gpu.unlockClock();
+    refresh();
 }
 
 void
@@ -131,6 +159,7 @@ ServerModel::setPowerCapAll(double watts)
 {
     for (auto &gpu : gpus_)
         gpu.setPowerCap(watts);
+    refresh();
 }
 
 void
@@ -138,6 +167,7 @@ ServerModel::clearPowerCapAll()
 {
     for (auto &gpu : gpus_)
         gpu.clearPowerCap();
+    refresh();
 }
 
 void
@@ -145,6 +175,7 @@ ServerModel::setPowerBrakeAll(bool engaged)
 {
     for (auto &gpu : gpus_)
         gpu.setPowerBrake(engaged);
+    refresh();
 }
 
 void
@@ -152,6 +183,7 @@ ServerModel::stepCapControllers()
 {
     for (auto &gpu : gpus_)
         gpu.stepCapController();
+    refresh();
 }
 
 double

@@ -71,6 +71,9 @@ struct ServerSpec
 
 /**
  * A live server: owns its GPUs and derives total electrical draw.
+ *
+ * GPUs change only through the server's mutators, each of which
+ * refreshes the stored total eagerly, so powerWatts() is a load.
  */
 class ServerModel
 {
@@ -80,7 +83,6 @@ class ServerModel
     const ServerSpec &spec() const { return spec_; }
 
     std::size_t numGpus() const { return gpus_.size(); }
-    GpuPowerModel &gpu(std::size_t i) { return gpus_.at(i); }
     const GpuPowerModel &gpu(std::size_t i) const { return gpus_.at(i); }
 
     /** Sum of instantaneous GPU power, watts. */
@@ -91,7 +93,15 @@ class ServerModel
     double hostPowerWatts() const;
 
     /** Total server draw, watts. */
-    double powerWatts() const;
+    double powerWatts() const { return watts_; }
+
+    /** @name Per-GPU controls
+     *  Apply to the GPUs listed in @p gpuIds (indices < numGpus()). */
+    /** @{ */
+    void setActivity(const std::vector<std::size_t> &gpuIds,
+                     const GpuActivity &activity);
+    void lockClock(const std::vector<std::size_t> &gpuIds, double mhz);
+    /** @} */
 
     /** @name Fleet-wide control conveniences */
     /** @{ */
@@ -112,8 +122,15 @@ class ServerModel
     double worstSlowdownFactor(double computeBoundFraction) const;
 
   private:
+    /** Host power when the GPUs draw @p gpuWatts in total. */
+    double hostPowerAt(double gpuWatts) const;
+
+    /** Recompute watts_ from the GPUs' stored power. */
+    void refresh();
+
     ServerSpec spec_;
     std::vector<GpuPowerModel> gpus_;
+    double watts_ = 0.0;   ///< hostPowerWatts() + gpuPowerWatts()
 };
 
 } // namespace polca::power

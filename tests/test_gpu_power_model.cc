@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+
 #include "power/gpu_power_model.hh"
+#include "sim/random.hh"
 
 using namespace polca::power;
 
@@ -19,6 +23,46 @@ constexpr GpuActivity promptActivity{1.05, 0.5};
 
 /** Token-like activity: low compute, high memory. */
 constexpr GpuActivity tokenActivity{0.35, 0.9};
+
+/**
+ * Apply one seeded random mutator.  Values come from small sets so
+ * that repeats of the same lock, activity or brake state (the skipped
+ * refreshes) are frequent; the cap controller is stepped most often
+ * so that it both throttles and recovers.
+ */
+void
+mutateRandomly(GpuPowerModel &gpu, polca::sim::Rng &rng)
+{
+    const double clocks[] = {210.0, 705.0, 1110.0, 1275.0, 1410.0};
+    const GpuActivity activities[] = {GpuActivity::idle(), promptActivity,
+                                      tokenActivity, {1.1, 0.55}};
+    auto pick = [&rng](std::int64_t n) {
+        return static_cast<std::size_t>(rng.uniformInt(0, n - 1));
+    };
+    switch (rng.uniformInt(0, 9)) {
+      case 0:
+        gpu.setActivity(activities[pick(4)]);
+        break;
+      case 1:
+        gpu.lockClock(clocks[pick(5)]);
+        break;
+      case 2:
+        gpu.unlockClock();
+        break;
+      case 3:
+        gpu.setPowerCap(rng.uniform(280.0, 420.0));
+        break;
+      case 4:
+        gpu.clearPowerCap();
+        break;
+      case 5:
+        gpu.setPowerBrake(rng.uniformInt(0, 3) == 0);
+        break;
+      default:
+        gpu.stepCapController();
+        break;
+    }
+}
 
 } // namespace
 
@@ -221,6 +265,35 @@ TEST(GpuPowerModel, SlowdownScalesWithComputeBoundFraction)
     EXPECT_NEAR(gpu.slowdownFactor(1.0), 2.0, 1e-9);
     EXPECT_NEAR(gpu.slowdownFactor(0.5), 1.5, 1e-9);
     EXPECT_DOUBLE_EQ(gpu.slowdownFactor(0.0), 1.0);
+}
+
+TEST(GpuPowerModel, StoredPowerIsFormulaBitwise)
+{
+    // powerWatts() is refreshed by the mutators, not computed on
+    // read; after any sequence of them it must equal the formula at
+    // the effective clock exactly.  A copy taken mid-sequence (the
+    // snapshot path) must stay exact as both diverge.
+    polca::sim::Rng rng(14);
+    GpuPowerModel gpu = a100();
+    for (int step = 0; step < 4000; ++step) {
+        mutateRandomly(gpu, rng);
+        ASSERT_EQ(gpu.powerWatts(),
+                  gpu.powerAtClock(gpu.effectiveClockMhz()))
+            << "step " << step;
+    }
+    GpuPowerModel copy = gpu;
+    ASSERT_EQ(copy.powerWatts(), gpu.powerWatts());
+    polca::sim::Rng copyRng(15);
+    for (int step = 0; step < 4000; ++step) {
+        mutateRandomly(gpu, rng);
+        mutateRandomly(copy, copyRng);
+        ASSERT_EQ(gpu.powerWatts(),
+                  gpu.powerAtClock(gpu.effectiveClockMhz()))
+            << "step " << step;
+        ASSERT_EQ(copy.powerWatts(),
+                  copy.powerAtClock(copy.effectiveClockMhz()))
+            << "copy step " << step;
+    }
 }
 
 TEST(GpuPowerModelDeath, NegativeActivityPanics)

@@ -2,11 +2,87 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <numeric>
+#include <vector>
 
 #include "power/server_model.hh"
+#include "sim/random.hh"
 
 using namespace polca::power;
+
+namespace {
+
+/** Server power from scratch: each GPU's formula, then host + GPUs. */
+double
+serverPowerFromScratch(const ServerModel &server)
+{
+    double gpuWatts = 0.0;
+    for (std::size_t i = 0; i < server.numGpus(); ++i) {
+        const GpuPowerModel &gpu = server.gpu(i);
+        gpuWatts += gpu.powerAtClock(gpu.effectiveClockMhz());
+    }
+    const ServerSpec &spec = server.spec();
+    double gpuIdle = static_cast<double>(server.numGpus()) *
+        spec.gpu.idleWatts;
+    double host = spec.hostIdleWatts +
+        spec.hostGpuTrackingFactor * std::max(0.0, gpuWatts - gpuIdle);
+    return host + gpuWatts;
+}
+
+/**
+ * Apply one seeded random server mutator.  Per-GPU mutators get a
+ * random GPU subset; values come from small sets so that repeated
+ * inputs (the skipped GPU refreshes) are frequent.
+ */
+void
+mutateRandomly(ServerModel &server, polca::sim::Rng &rng)
+{
+    const double clocks[] = {210.0, 705.0, 1110.0, 1275.0, 1410.0};
+    const GpuActivity activities[] = {GpuActivity::idle(), {1.05, 0.5},
+                                      {0.35, 0.9}, {1.1, 0.55}};
+    auto pick = [&rng](std::int64_t n) {
+        return static_cast<std::size_t>(rng.uniformInt(0, n - 1));
+    };
+    std::vector<std::size_t> ids;
+    for (std::size_t i = 0; i < server.numGpus(); ++i) {
+        if (rng.uniformInt(0, 1) == 0)
+            ids.push_back(i);
+    }
+    switch (rng.uniformInt(0, 10)) {
+      case 0:
+        server.setActivity(ids, activities[pick(4)]);
+        break;
+      case 1:
+        server.lockClock(ids, clocks[pick(5)]);
+        break;
+      case 2:
+        server.setActivityAll(activities[pick(4)]);
+        break;
+      case 3:
+        server.lockClockAll(clocks[pick(5)]);
+        break;
+      case 4:
+        server.unlockClockAll();
+        break;
+      case 5:
+        server.setPowerCapAll(rng.uniform(280.0, 420.0));
+        break;
+      case 6:
+        server.clearPowerCapAll();
+        break;
+      case 7:
+        server.setPowerBrakeAll(rng.uniformInt(0, 3) == 0);
+        break;
+      default:
+        server.stepCapControllers();
+        break;
+    }
+}
+
+} // namespace
 
 TEST(ServerSpec, ProvisionedBreakdownSumsToRated)
 {
@@ -105,14 +181,14 @@ TEST(ServerModel, FleetControlsReachAllGpus)
 TEST(ServerModel, WorstSlowdownPicksSlowestGpu)
 {
     ServerModel server(ServerSpec::dgxA100_80gb());
-    server.gpu(3).lockClock(705.0);
+    server.lockClock({3}, 705.0);
     EXPECT_NEAR(server.worstSlowdownFactor(1.0), 2.0, 1e-9);
 }
 
 TEST(ServerModel, PerGpuActivityIndependent)
 {
     ServerModel server(ServerSpec::dgxA100_80gb());
-    server.gpu(0).setActivity({1.0, 0.5});
+    server.setActivity({0}, {1.0, 0.5});
     double p = server.gpuPowerWatts();
     double idle = server.spec().gpu.idleWatts;
     EXPECT_GT(p, 7 * idle + 300.0);
@@ -137,4 +213,31 @@ TEST(ServerModel, CapControllersStepAcrossGpus)
         EXPECT_LE(server.gpu(i).powerWatts(), 330.0);
     server.clearPowerCapAll();
     EXPECT_GT(server.gpu(0).powerWatts(), 400.0);
+}
+
+TEST(ServerModel, StoredPowerIsFormulaBitwise)
+{
+    // powerWatts() is refreshed by the mutators, not computed on
+    // read; after any sequence of them it must equal the host-plus-GPU
+    // formula over every GPU's formula exactly.  A copy taken
+    // mid-sequence (the snapshot path) must stay exact as both
+    // diverge.
+    polca::sim::Rng rng(14);
+    ServerModel server(ServerSpec::dgxA100_80gb());
+    for (int step = 0; step < 3000; ++step) {
+        mutateRandomly(server, rng);
+        ASSERT_EQ(server.powerWatts(), serverPowerFromScratch(server))
+            << "step " << step;
+    }
+    ServerModel copy = server;
+    ASSERT_EQ(copy.powerWatts(), server.powerWatts());
+    polca::sim::Rng copyRng(15);
+    for (int step = 0; step < 3000; ++step) {
+        mutateRandomly(server, rng);
+        mutateRandomly(copy, copyRng);
+        ASSERT_EQ(server.powerWatts(), serverPowerFromScratch(server))
+            << "step " << step;
+        ASSERT_EQ(copy.powerWatts(), serverPowerFromScratch(copy))
+            << "copy step " << step;
+    }
 }
