@@ -8,12 +8,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "cluster/dispatcher.hh"
 #include "core/oversub_experiment.hh"
 #include "core/sweep_runner.hh"
+#include "llm/model_spec.hh"
 #include "llm/phase_model.hh"
 #include "obs/observability.hh"
 #include "power/gpu_power_model.hh"
@@ -131,6 +134,39 @@ BM_CapControllerStep(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CapControllerStep);
+
+/**
+ * One dispatch decision in a range(0)-server pool with every other
+ * server busy (buffer free), so the idle and buffered classes are
+ * both non-empty: count the idle class, draw, walk to the pick.
+ * range(0) is a 40-server row, a 1,008-server site_10k row (whose
+ * two priority pools hold 504 each) and all 10,080 site servers in
+ * one pool.
+ */
+void
+BM_DispatchRoute(benchmark::State &state)
+{
+    sim::Simulation sim;
+    llm::ModelCatalog catalog;
+    cluster::Dispatcher dispatcher(sim, sim::Rng(3));
+    std::vector<std::unique_ptr<cluster::InferenceServer>> servers;
+    workload::Request request;
+    request.inputTokens = 1024;
+    request.outputTokens = 64;
+    for (int i = 0; i < state.range(0); ++i) {
+        servers.push_back(std::make_unique<cluster::InferenceServer>(
+            sim, power::ServerSpec::dgxA100_80gb(),
+            catalog.byName("BLOOM-176B"), workload::Priority::Low, i));
+        dispatcher.addServer(servers.back().get());
+        if (i % 2 == 1)
+            servers.back()->submit(request);
+    }
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            dispatcher.pickServer(workload::Priority::Low));
+    }
+}
+BENCHMARK(BM_DispatchRoute)->Arg(40)->Arg(1008)->Arg(10080);
 
 void
 BM_PhaseModelLatency(benchmark::State &state)

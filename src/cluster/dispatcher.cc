@@ -1,5 +1,8 @@
 #include "cluster/dispatcher.hh"
 
+#include <algorithm>
+
+#include "core/contracts.hh"
 #include "sim/logging.hh"
 
 namespace polca::cluster {
@@ -15,6 +18,12 @@ Dispatcher::pool(workload::Priority p)
     return p == workload::Priority::High ? highPool_ : lowPool_;
 }
 
+std::vector<std::uint8_t> &
+Dispatcher::classes(workload::Priority p)
+{
+    return p == workload::Priority::High ? highClasses_ : lowClasses_;
+}
+
 std::deque<workload::Request> &
 Dispatcher::central(workload::Priority p)
 {
@@ -26,7 +35,14 @@ Dispatcher::addServer(InferenceServer *server)
 {
     if (!server)
         sim::panic("Dispatcher: null server");
-    pool(server->pool()).push_back(server);
+    // A second binding would leave a stale byte in the first pool.
+    POLCA_CHECK(!server->dispatchBound(), "server ", server->id(),
+                " is already bound to a dispatcher");
+    auto &servers = pool(server->pool());
+    auto &bytes = classes(server->pool());
+    servers.push_back(server);
+    bytes.push_back(InferenceServer::kFull);
+    server->bindDispatchSlot(&bytes, bytes.size() - 1);
     server->setCompletionCallback(
         [this](InferenceServer &s, const InferenceServer::Completion &c) {
             workload::Priority p = c.request.priority;
@@ -184,32 +200,22 @@ Dispatcher::pickServer(workload::Priority p)
     }
 
     // Prefer idle servers, then servers with buffer room; pick
-    // uniformly at random within the preferred class (load
-    // balancing without a shared queue).  Count the class, draw an
-    // index into it, then walk to that match: no per-request
-    // allocation.
-    std::size_t idle = 0;
-    std::size_t buffered = 0;
-    for (const InferenceServer *server : servers) {
-        if (server->idleNow())
-            ++idle;
-        else if (server->bufferFree())
-            ++buffered;
+    // uniformly at random within the preferred class (load balancing
+    // without a shared queue).  Count the class in the byte index,
+    // draw an index into it, then walk to that match.
+    const auto &bytes = classes(p);
+    std::uint8_t want = InferenceServer::kIdle;
+    auto candidates = std::count(bytes.begin(), bytes.end(), want);
+    if (candidates == 0) {
+        want = InferenceServer::kBufferRoom;
+        candidates = std::count(bytes.begin(), bytes.end(), want);
     }
-    std::size_t candidates = idle > 0 ? idle : buffered;
     if (candidates == 0)
         return nullptr;
-    auto k = static_cast<std::size_t>(rng_.uniformInt(
-        0, static_cast<std::int64_t>(candidates) - 1));
-    // With no idle server the buffered class is every server with
-    // buffer room.
-    for (InferenceServer *server : servers) {
-        bool match = idle > 0 ? server->idleNow() : server->bufferFree();
-        if (!match)
-            continue;
-        if (k == 0)
-            return server;
-        --k;
+    auto k = rng_.uniformInt(0, candidates - 1);
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+        if (bytes[i] == want && k-- == 0)
+            return servers[i];
     }
     sim::panic("Dispatcher: pick index past the candidate class");
 }

@@ -30,8 +30,25 @@ class Dispatcher
   public:
     Dispatcher(sim::Simulation &sim, sim::Rng rng);
 
-    /** Register a server (joins the pool of its priority). */
+    /** Servers hold the address of their pool's class array, so a
+     *  dispatcher stays where it was built. */
+    Dispatcher(const Dispatcher &) = delete;
+    Dispatcher &operator=(const Dispatcher &) = delete;
+    Dispatcher(Dispatcher &&) = delete;
+    Dispatcher &operator=(Dispatcher &&) = delete;
+
+    /** Register a server (joins the pool of its priority) and bind
+     *  it to that pool's class array; a server binds only once. */
     void addServer(InferenceServer *server);
+
+    /**
+     * The dispatch decision: a uniformly random idle server of pool
+     * @p p, else a random one with buffer room; nullptr when none can
+     * accept.  Draws once from the pick stream when a class is
+     * non-empty.  Arrivals route through it; public so the decision
+     * can be measured on its own.
+     */
+    InferenceServer *pickServer(workload::Priority p);
 
     /**
      * Register arrival/completion/spill counters, the central-queue
@@ -111,11 +128,8 @@ class Dispatcher
     void onCompletion(InferenceServer &server);
 
     std::vector<InferenceServer *> &pool(workload::Priority p);
+    std::vector<std::uint8_t> &classes(workload::Priority p);
     std::deque<workload::Request> &central(workload::Priority p);
-
-    /** Pick an accepting server: random idle, else random with
-     *  buffer room; nullptr when none can accept. */
-    InferenceServer *pickServer(workload::Priority p);
 
     sim::Simulation &sim_;
     sim::Rng rng_;
@@ -123,6 +137,13 @@ class Dispatcher
     std::vector<InferenceServer *> lowPool_;
     // polca-snapshot: skip(highPool_, topology wiring; servers snapshot themselves)
     std::vector<InferenceServer *> highPool_;
+    /** Each pool server's dispatchClass(), by pool position; the
+     *  servers write their own byte (InferenceServer::
+     *  bindDispatchSlot). */
+    // polca-snapshot: skip(lowClasses_, derived from server state; servers republish in restoreState)
+    std::vector<std::uint8_t> lowClasses_;
+    // polca-snapshot: skip(highClasses_, derived from server state; servers republish in restoreState)
+    std::vector<std::uint8_t> highClasses_;
     std::deque<workload::Request> centralLow_;
     std::deque<workload::Request> centralHigh_;
     sim::Sampler lowLatency_;

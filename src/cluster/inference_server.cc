@@ -106,6 +106,23 @@ InferenceServer::submit(const workload::Request &request)
         sim::panic("InferenceServer ", id_,
                    ": submit with full buffer (dispatcher bug)");
     }
+    publishDispatchClass();
+}
+
+void
+InferenceServer::bindDispatchSlot(std::vector<std::uint8_t> *classes,
+                                  std::size_t slot)
+{
+    dispatchClasses_ = classes;
+    dispatchSlot_ = slot;
+    publishDispatchClass();
+}
+
+void
+InferenceServer::publishDispatchClass()
+{
+    if (dispatchClasses_)
+        (*dispatchClasses_)[dispatchSlot_] = dispatchClass();
 }
 
 void
@@ -233,6 +250,7 @@ InferenceServer::phaseEnded()
     setPhaseActivity();   // idle
 
     startNextFromBuffer();
+    publishDispatchClass();
 
     if (onComplete_) {
         for (const Completion &completion : completions)
@@ -345,6 +363,7 @@ InferenceServer::crash()
     server_.unlockClockAll();
     server_.setPowerBrakeAll(false);
     setPhaseActivity();
+    publishDispatchClass();
 }
 
 void
@@ -353,6 +372,7 @@ InferenceServer::restore()
     // Comes back empty, unlocked, and idle; powerWatts() resumes
     // reporting the (idle) electrical draw.
     crashed_ = false;
+    publishDispatchClass();
 }
 
 double
@@ -428,6 +448,7 @@ InferenceServer::restoreState(const State &state)
             state.active->completionWhen, state.active->completionSeq,
             [this] { phaseEnded(); }, "phase-end");
     }
+    publishDispatchClass();
 }
 
 void

@@ -101,6 +101,32 @@ class InferenceServer : public telemetry::ClockControllable
 
     std::size_t queueDepth() const { return buffer_.size(); }
 
+    /** @name Dispatch classes, in the dispatcher's preference order */
+    /** @{ */
+    static constexpr std::uint8_t kIdle = 2;
+    static constexpr std::uint8_t kBufferRoom = 1;  ///< busy, buffer free
+    static constexpr std::uint8_t kFull = 0;        ///< or crashed
+    /** @} */
+
+    /** The class the dispatcher routes on. */
+    std::uint8_t dispatchClass() const
+    {
+        return idleNow() ? kIdle : bufferFree() ? kBufferRoom : kFull;
+    }
+
+    /**
+     * Publish dispatchClass() to element @p slot of @p classes from
+     * now on: every change of the class rewrites that byte (the
+     * dispatcher's per-pool index).  Called once, by
+     * Dispatcher::addServer; @p classes must outlive the server's
+     * last state change.
+     */
+    void bindDispatchSlot(std::vector<std::uint8_t> *classes,
+                          std::size_t slot);
+
+    /** @return true once bindDispatchSlot() has been called. */
+    bool dispatchBound() const { return dispatchClasses_ != nullptr; }
+
     /** Hand a request to this server; panics if !canAccept(). */
     void submit(const workload::Request &request);
 
@@ -262,6 +288,7 @@ class InferenceServer : public telemetry::ClockControllable
     void applyDesiredClock();
     void refreshClock();
     void setPhaseActivity();
+    void publishDispatchClass();
     double currentSlowdown(llm::Phase phase) const;
 
     /**
@@ -298,6 +325,10 @@ class InferenceServer : public telemetry::ClockControllable
     std::size_t maxBatchSize_ = 1;
     std::deque<workload::Request> buffer_;
     CompletionCallback onComplete_;
+    // polca-snapshot: skip(dispatchClasses_, dispatcher wiring; restoreState republishes the byte)
+    std::vector<std::uint8_t> *dispatchClasses_ = nullptr;
+    // polca-snapshot: skip(dispatchSlot_, dispatcher wiring set at bind)
+    std::size_t dispatchSlot_ = 0;
     std::uint64_t completed_ = 0;
     sim::Tick busyTicks_ = 0;
 
