@@ -14,9 +14,9 @@
  * versa.  Leaves wrap one InferenceServer (or, for tests, an
  * arbitrary power source).
  *
- * The flat Row/Datacenter layer is a thin view over this tree: a
- * legacy row is a row-level domain whose children are server leaves,
- * and a datacenter is a site-level domain of such rows.
+ * cluster::Row is a thin view over this tree (a row-level domain
+ * whose children are server leaves), and cluster::Site builds the
+ * multi-level tree from a topology.
  */
 
 #pragma once

@@ -8,9 +8,8 @@
  * its server leaves: the domain owns the servers and the aggregating
  * telemetry::DomainManager, while the Row bundles the load-balancing
  * dispatcher and the row-scoped configuration into the object POLCA
- * manages.  A Row can stand alone (it owns its domain) or live
- * inside a larger tree (a Datacenter site, where the domain is a
- * child of the site root).
+ * manages.  A Row owns its domain; multi-row sites are built by
+ * cluster::Site (topology.hh).
  */
 
 #pragma once
@@ -93,49 +92,45 @@ struct RowConfig
 class Row
 {
   public:
-    /** Stand-alone row: owns its power domain. */
+    /** Build the row's domain, servers and dispatcher; the domain is
+     *  finalized (manager running) on return. */
     Row(sim::Simulation &sim, RowConfig config, sim::Rng rng);
-
-    /** Row built as the child @p name of @p parent in an existing
-     *  domain tree (the Datacenter site root). */
-    Row(sim::Simulation &sim, RowConfig config, sim::Rng rng,
-        PowerDomain &parent, std::string name);
 
     const RowConfig &config() const { return config_; }
 
     /** Deployed servers (base + added). */
-    int numServers() const { return domain_->numServers(); }
+    int numServers() const { return domain_.numServers(); }
 
     /** Row power budget, watts. */
-    double provisionedWatts() const { return domain_->budgetWatts(); }
+    double provisionedWatts() const { return domain_.budgetWatts(); }
 
     Dispatcher &dispatcher() { return *dispatcher_; }
     const Dispatcher &dispatcher() const { return *dispatcher_; }
 
-    telemetry::RowManager &rowManager() { return *domain_->manager(); }
+    telemetry::RowManager &rowManager() { return *domain_.manager(); }
     const telemetry::RowManager &rowManager() const
     {
-        return *domain_->manager();
+        return *domain_.manager();
     }
 
     /** The backing node of the power-domain tree. */
-    PowerDomain &domain() { return *domain_; }
-    const PowerDomain &domain() const { return *domain_; }
+    PowerDomain &domain() { return domain_; }
+    const PowerDomain &domain() const { return domain_; }
 
     /** All servers (owned by the row's domain). */
     std::vector<InferenceServer *> servers()
     {
-        return domain_->servers();
+        return domain_.servers();
     }
 
     /** Servers in the @p priority pool. */
     std::vector<InferenceServer *> pool(workload::Priority priority)
     {
-        return domain_->pool(priority);
+        return domain_.pool(priority);
     }
 
     /** Current total row draw (instantaneous, not telemetry). */
-    double powerWatts() const { return domain_->powerWatts(); }
+    double powerWatts() const { return domain_.powerWatts(); }
 
     /** Apply the +x% power-intensity experiment to every server. */
     void setPowerScaleFactor(double factor);
@@ -144,17 +139,13 @@ class Row
     const llm::ModelSpec &model() const { return model_; }
 
   private:
-    PowerDomain::Options domainOptions(std::string name) const;
-    void populate(sim::Rng &rng);
+    PowerDomain::Options domainOptions() const;
 
     sim::Simulation &sim_;
     RowConfig config_;
     llm::ModelSpec model_;
 
-    /** Set when the row stands alone; domain_ always points at the
-     *  row's node (owned here or by the parent tree). */
-    std::unique_ptr<PowerDomain> ownedDomain_;
-    PowerDomain *domain_ = nullptr;
+    PowerDomain domain_;
 
     std::unique_ptr<Dispatcher> dispatcher_;
 };

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
+#include <memory>
 
 #include "core/contracts.hh"
-#include "core/site_experiment.hh"
 #include "core/warmup_snapshot.hh"
 #include "faults/fault_injector.hh"
 #include "llm/phase_model.hh"
@@ -77,50 +78,165 @@ resolvedRowConfig(const ExperimentConfig &config)
 }
 
 /**
- * One flat-row run's live components.  The build/control-plane/
- * capture/restore split exists for the warmup-branch machinery; a
- * warmup == 0 run assembles everything in the original single-pass
- * order, so its event trajectory stays pinned bit-for-bit.
+ * One serving cell: a row-level power domain with its own traffic,
+ * dispatcher, and (when managed) POLCA manager and safety monitor.
+ * The flat row is one cell; a site has one per Site::rows() entry.
  */
-struct RowWorld
+struct ServingCell
 {
-    explicit RowWorld(const ExperimentConfig &cfg)
-        : config(cfg), sim(cfg.seed),
-          row(sim, resolvedRowConfig(cfg), sim.rng().fork(0xA110))
+    cluster::PowerDomain *domain = nullptr;
+    cluster::Dispatcher *dispatcher = nullptr;
+    const llm::ModelSpec *model = nullptr;
+
+    /** Stream the cell's manager forks from. */
+    const sim::Rng *rng = nullptr;
+    std::uint64_t traceSeed = 0;
+
+    /** @name Safety-limit inputs (also the flat row's breaker) */
+    /** @{ */
+    double budgetWatts = 0.0;
+    double breakerLimitWatts = 0.0;
+    sim::Tick breakerGrace = 0;
+    /** @} */
+};
+
+/**
+ * One run's live components: the flat row or the site tree, served
+ * as a list of cells.  The build/control-plane/capture/restore split
+ * exists for the warmup-branch machinery; a warmup == 0 run
+ * assembles everything in the original single-pass order, so its
+ * event trajectory stays pinned bit-for-bit.
+ */
+struct World
+{
+    explicit World(const ExperimentConfig &cfg)
+        : config(cfg), sim(cfg.seed)
     {
     }
 
     const ExperimentConfig &config;
     sim::Simulation sim;
-    cluster::Row row;
-    double provisioned = 0.0;
+
+    /** Exactly one is set. */
+    std::unique_ptr<cluster::Row> row;
+    std::unique_ptr<cluster::Site> site;
+
+    cluster::PowerDomain *root = nullptr;
+    std::vector<ServingCell> cells;
+    bool manageCells = false;
+    bool recordSeries = false;
     obs::Observability *obs = nullptr;
 
-    /** Owned when generated here or adopted from a snapshot; null
-     *  for external traces.  `trace` is what the dispatcher feeds
-     *  from either way. */
-    std::shared_ptr<const workload::Trace> ownedTrace;
-    const workload::Trace *trace = nullptr;
+    /** Per-domain telemetry statistics, fed by manager listeners.
+     *  Keyed by node for the rollup; snapshots enumerate them in
+     *  deterministic pre-order instead of pointer order. */
+    std::map<const cluster::PowerDomain *, sim::Accumulator> wattsAcc;
+
+    /** One generated trace per cell, shared so branches skip
+     *  regeneration; null when the run feeds an external trace. */
+    std::shared_ptr<const std::vector<workload::Trace>> traces;
 
     std::unique_ptr<telemetry::EnergyMeter> energy;
     sim::Accumulator utilization;
-    std::unique_ptr<PowerManager> manager;
-    std::unique_ptr<telemetry::BreakerModel> breaker;
+    std::vector<std::unique_ptr<PowerManager>> managers;
     std::unique_ptr<faults::FaultInjector> injector;
-    std::unique_ptr<SafetyMonitor> safety;
+    std::vector<std::unique_ptr<SafetyMonitor>> monitors;
     std::unique_ptr<sim::Simulation::PeriodicTask> statsTask;
+
+    /** The trace cell @p i is fed from. */
+    const workload::Trace &trace(std::size_t i) const
+    {
+        return config.externalTrace ? *config.externalTrace
+                                    : (*traces)[i];
+    }
 };
 
+/** The paper's flat row: one cell, manager stream sim.rng(). */
 void
-attachRowObservability(RowWorld &world)
+buildRowCells(World &world)
+{
+    const ExperimentConfig &config = world.config;
+    world.row = std::make_unique<cluster::Row>(
+        world.sim, resolvedRowConfig(config),
+        world.sim.rng().fork(0xA110));
+    cluster::Row &row = *world.row;
+    world.root = &row.domain();
+    world.manageCells = config.managed;
+    world.recordSeries = config.recordRowSeries;
+
+    ServingCell cell;
+    cell.domain = &row.domain();
+    cell.dispatcher = &row.dispatcher();
+    cell.model = &row.model();
+    cell.rng = &world.sim.rng();
+    cell.traceSeed = config.seed ^ 0x7ace;
+    cell.budgetWatts = row.provisionedWatts();
+    cell.breakerLimitWatts =
+        cell.budgetWatts * config.breakerLimitFraction;
+    cell.breakerGrace = config.breakerTripDuration;
+    world.cells.push_back(cell);
+}
+
+/** The site tree: one cell per row, streams keyed by row name. */
+void
+buildSiteCells(World &world)
+{
+    const ExperimentConfig &config = world.config;
+    cluster::TopologyConfig topology = config.topology;
+    topology.recordSeries =
+        config.topology.recordSeries || config.recordRowSeries;
+    world.site = std::make_unique<cluster::Site>(
+        world.sim, topology, config.row, world.sim.rng().fork(0xA110));
+    world.root = &world.site->root();
+    world.manageCells = config.managed && topology.manageRows;
+    world.recordSeries = topology.recordSeries;
+
+    // One trace per row, keyed by row *name* (forkPath of the trace
+    // master seed), so a row's offered load is invariant to the rest
+    // of the site layout.
+    sim::Rng traceMaster(config.seed ^ 0x7ace);
+    for (cluster::Site::SiteRow &row : world.site->rows()) {
+        const telemetry::BreakerModel *breaker = row.domain->breaker();
+        ServingCell cell;
+        cell.domain = row.domain;
+        cell.dispatcher = row.dispatcher.get();
+        cell.model = &row.model;
+        cell.rng = &row.rng;
+        cell.traceSeed = traceMaster.forkPath(row.name).seed();
+        cell.budgetWatts = row.domain->budgetWatts();
+        cell.breakerLimitWatts = breaker ? breaker->breakerLimitWatts()
+                                         : cell.budgetWatts / 0.8;
+        cell.breakerGrace = config.topology.breakerTripDuration;
+        world.cells.push_back(cell);
+    }
+}
+
+void
+attachObservability(World &world)
 {
     obs::Observability *obs = world.obs;
     if (!obs)
         return;
     sim::Simulation &sim = world.sim;
-    world.row.rowManager().attachObservability(obs);
-    world.row.dispatcher().attachObservability(obs);
-    for (cluster::InferenceServer *server : world.row.servers())
+    // The root manager fills the flat telemetry namespace, so
+    // dashboards (and the report timeline) read the row or site
+    // rollup from telemetry.latest_row_watts.
+    world.root->manager()->attachObservability(obs);
+    if (world.site) {
+        world.root->visit([obs](cluster::PowerDomain &domain) {
+            if (domain.isLeaf())
+                return;
+            if (domain.manager())
+                domain.manager()->attachDomainObservability(
+                    obs, domain.path());
+            if (domain.breaker())
+                domain.breaker()->attachObservability(
+                    obs, domain.path() + ".breaker");
+        });
+    }
+    for (ServingCell &cell : world.cells)
+        cell.dispatcher->attachObservability(obs);
+    for (cluster::InferenceServer *server : world.root->servers())
         server->attachObservability(obs);
     // Sim-core stats: the sim layer cannot depend on obs, so the
     // harness registers gauge sources over the queue's own
@@ -144,85 +260,95 @@ attachRowObservability(RowWorld &world)
 }
 
 void
-makeRowTrace(RowWorld &world, const WarmupSnapshot *resume)
+makeTraces(World &world, const WarmupSnapshot *resume)
 {
     const ExperimentConfig &config = world.config;
-    // Trace: external, or generated at an offered load matched to
-    // the deployed server count (oversubscribed rows serve
-    // proportionally more traffic — that is the point of adding
-    // servers).  A branch adopts the snapshot's trace instead of
-    // regenerating the identical one.
-    if (config.externalTrace) {
-        world.trace = config.externalTrace;
+    if (config.externalTrace)
         return;
-    }
+    // A branch adopts the snapshot's traces instead of regenerating
+    // the identical ones.
     if (resume) {
-        POLCA_CHECK(resume->trace,
-                    "warmup snapshot carries no trace but the branch "
+        POLCA_CHECK(resume->traces,
+                    "warmup snapshot carries no traces but the branch "
                     "has no external trace either");
-        world.ownedTrace = resume->trace;
-        world.trace = world.ownedTrace.get();
+        POLCA_CHECK(resume->traces->size() == world.cells.size(),
+                    "snapshot has ", resume->traces->size(),
+                    " traces, world has ", world.cells.size(),
+                    " cells");
+        world.traces = resume->traces;
         return;
     }
-    workload::TraceGenerator generator(config.mix);
-    llm::PhaseModel phases(world.row.model());
-    workload::TraceGenOptions traceOptions;
-    traceOptions.duration = config.duration;
-    traceOptions.numServers = world.row.numServers();
-    traceOptions.serviceSecondsPerRequest =
-        generator.expectedServiceSeconds(phases);
-    traceOptions.diurnal = config.diurnal;
-    traceOptions.seed = config.seed ^ 0x7ace;
-    world.ownedTrace = std::make_shared<const workload::Trace>(
-        generator.generate(traceOptions));
-    world.trace = world.ownedTrace.get();
+    // Generated at an offered load matched to the cell's deployed
+    // server count (oversubscribed rows serve proportionally more
+    // traffic — that is the point of adding servers).
+    auto traces = std::make_shared<std::vector<workload::Trace>>();
+    traces->reserve(world.cells.size());
+    for (const ServingCell &cell : world.cells) {
+        workload::TraceGenerator generator(config.mix);
+        llm::PhaseModel phases(*cell.model);
+        workload::TraceGenOptions traceOptions;
+        traceOptions.duration = config.duration;
+        traceOptions.numServers = cell.domain->numServers();
+        traceOptions.serviceSecondsPerRequest =
+            generator.expectedServiceSeconds(phases);
+        traceOptions.diurnal = config.diurnal;
+        traceOptions.seed = cell.traceSeed;
+        traces->push_back(generator.generate(traceOptions));
+    }
+    world.traces = std::move(traces);
 }
 
 void
-buildRowManager(RowWorld &world)
+buildManagers(World &world)
 {
     const ExperimentConfig &config = world.config;
-    if (!config.managed)
+    if (!world.manageCells)
         return;
-    world.manager = std::make_unique<PowerManager>(
-        world.sim, world.row.rowManager(),
-        world.row.provisionedWatts(), config.policy,
-        world.sim.rng().fork(0x90CA), config.manager);
-    if (world.obs)
-        world.manager->attachObservability(world.obs);
-    for (workload::Priority pool :
-         {workload::Priority::Low, workload::Priority::High}) {
-        for (cluster::InferenceServer *server : world.row.pool(pool))
-            world.manager->addTarget(pool, server);
+    // One POLCA manager per cell, capping against the cell's
+    // *effective* budget: its own budget shrunk by any tighter
+    // ancestor budget shared out pro rata (parent-budget awareness).
+    for (ServingCell &cell : world.cells) {
+        auto manager = std::make_unique<PowerManager>(
+            world.sim, *cell.domain->manager(),
+            cell.domain->effectiveBudgetWatts(), config.policy,
+            cell.rng->fork(0x90CA), config.manager);
+        if (world.obs)
+            manager->attachObservability(world.obs);
+        for (workload::Priority pool :
+             {workload::Priority::Low, workload::Priority::High}) {
+            for (cluster::InferenceServer *server :
+                 cell.domain->pool(pool))
+                manager->addTarget(pool, server);
+        }
+        manager->start();
+        world.managers.push_back(std::move(manager));
     }
-    world.manager->start();
 }
 
+/** The flat row's breaker; site breakers are armed by the Site
+ *  builder from the topology's per-level limits. */
 void
-buildRowBreaker(RowWorld &world)
+armRowBreaker(World &world)
 {
-    const ExperimentConfig &config = world.config;
-    if (!config.modelBreaker)
+    if (world.site || !world.config.modelBreaker)
         return;
     // The physical breaker watches the raw electrical draw — not
     // the row telemetry — so it keeps seeing power through
     // telemetry blackouts.
+    const ServingCell &cell = world.cells.front();
     telemetry::BreakerModel::Config breakerConfig;
-    breakerConfig.provisionedWatts = world.provisioned;
-    breakerConfig.breakerLimitWatts =
-        world.provisioned * config.breakerLimitFraction;
-    breakerConfig.tripDuration = config.breakerTripDuration;
-    cluster::Row &row = world.row;
-    world.breaker = std::make_unique<telemetry::BreakerModel>(
-        world.sim, [&row] { return row.powerWatts(); },
-        breakerConfig);
+    breakerConfig.provisionedWatts = cell.budgetWatts;
+    breakerConfig.breakerLimitWatts = cell.breakerLimitWatts;
+    breakerConfig.tripDuration = cell.breakerGrace;
+    world.root->armBreaker(breakerConfig);
     if (world.obs)
-        world.breaker->attachObservability(world.obs);
-    world.breaker->start();
+        world.root->breaker()->attachObservability(world.obs);
 }
 
+/** Faults act on the flat row only: site mode rejects fault plans,
+ *  chaos, and external traces before the world is built. */
 void
-buildRowInjector(RowWorld &world)
+buildInjector(World &world)
 {
     const ExperimentConfig &config = world.config;
     // Fault plan = explicit scenario faults plus (when enabled) a
@@ -234,7 +360,7 @@ buildRowInjector(RowWorld &world)
         mergeFaultPlans(plan,
                         faults::generateChaosPlan(
                             config.chaos, config.duration,
-                            world.row.numServers(), chaosRng));
+                            world.root->numServers(), chaosRng));
     }
     if (plan.empty())
         return;
@@ -242,36 +368,28 @@ buildRowInjector(RowWorld &world)
         world.sim, plan, world.sim.rng().fork(0xFA17));
     if (world.obs)
         world.injector->attachObservability(world.obs);
-    world.injector->attachTelemetry(world.row.rowManager());
-    world.injector->attachServers(world.row.servers());
-    if (world.manager) {
+    world.injector->attachTelemetry(*world.root->manager());
+    world.injector->attachServers(world.root->servers());
+    for (const std::unique_ptr<PowerManager> &manager : world.managers) {
         for (workload::Priority pool :
              {workload::Priority::Low, workload::Priority::High})
-            world.injector->attachChannels(
-                world.manager->channels(pool));
-        world.injector->attachController(world.manager.get());
+            world.injector->attachChannels(manager->channels(pool));
+        world.injector->attachController(manager.get());
     }
     world.injector->start();
 }
 
-void
-buildRowSafety(RowWorld &world)
+SafetyMonitor::Limits
+safetyLimits(const ExperimentConfig &config, const ServingCell &cell)
 {
-    const ExperimentConfig &config = world.config;
-    if (!config.safety.monitor)
-        return;
-    // The safety monitor watches ground-truth power (what the
-    // breaker sees), delivered telemetry, and the manager's posture.
     SafetyMonitor::Limits limits;
-    limits.provisionedWatts = world.provisioned;
-    limits.breakerLimitWatts =
-        world.provisioned * config.breakerLimitFraction;
-    limits.breakerGrace = config.breakerTripDuration;
-    limits.failSafeDeadline = config.manager.watchdogTimeout +
-        config.safety.failSafeMargin;
+    limits.provisionedWatts = cell.budgetWatts;
+    limits.breakerLimitWatts = cell.breakerLimitWatts;
+    limits.breakerGrace = cell.breakerGrace;
+    limits.failSafeDeadline =
+        config.manager.watchdogTimeout + config.safety.failSafeMargin;
     limits.capReleaseDeadline = config.safety.capReleaseDeadline;
-    limits.maxBrakeTimeFraction =
-        config.safety.maxBrakeTimeFraction;
+    limits.maxBrakeTimeFraction = config.safety.maxBrakeTimeFraction;
     limits.checkInterval = config.safety.checkInterval;
     // Quiet = below every release threshold, so no rule (or the
     // brake) has any reason to stay engaged.
@@ -279,84 +397,116 @@ buildRowSafety(RowWorld &world)
         ? config.policy.powerBrakeReleaseFraction
         : 1.0;
     for (const ThresholdRule &rule : config.policy.rules) {
-        limits.quietUtilization = std::min(
-            limits.quietUtilization, rule.uncapFraction);
+        limits.quietUtilization =
+            std::min(limits.quietUtilization, rule.uncapFraction);
         if (limits.capFloorMhz == 0.0 ||
             rule.lockMhz < limits.capFloorMhz)
             limits.capFloorMhz = rule.lockMhz;
     }
-    cluster::Row &row = world.row;
-    world.safety = std::make_unique<SafetyMonitor>(
-        world.sim, limits, [&row] { return row.powerWatts(); },
-        world.manager.get());
-    if (world.obs)
-        world.safety->attachObservability(world.obs);
-    world.safety->attachTelemetry(world.row.rowManager());
-    world.safety->start();
+    return limits;
+}
+
+void
+buildMonitors(World &world)
+{
+    const ExperimentConfig &config = world.config;
+    if (!config.safety.monitor)
+        return;
+    // Each monitor watches its cell's ground-truth power (what the
+    // breaker sees), delivered telemetry, and the manager's posture.
+    for (std::size_t i = 0; i < world.cells.size(); ++i) {
+        cluster::PowerDomain *domain = world.cells[i].domain;
+        auto monitor = std::make_unique<SafetyMonitor>(
+            world.sim, safetyLimits(config, world.cells[i]),
+            [domain] { return domain->powerWatts(); },
+            i < world.managers.size() ? world.managers[i].get()
+                                      : nullptr);
+        if (world.obs)
+            monitor->attachObservability(world.obs);
+        monitor->attachTelemetry(*domain->manager());
+        monitor->start();
+        world.monitors.push_back(std::move(monitor));
+    }
 }
 
 /** The control plane, started at t = warmup in deferred runs:
- *  manager, then injector, then safety — the same relative order a
- *  warmup == 0 run constructs them in. */
+ *  managers, then injector, then monitors — the same relative order
+ *  a warmup == 0 run constructs them in. */
 void
-startRowControlPlane(RowWorld &world)
+startControlPlane(World &world)
 {
-    buildRowManager(world);
-    buildRowInjector(world);
-    buildRowSafety(world);
+    buildManagers(world);
+    buildInjector(world);
+    buildMonitors(world);
 }
 
 /**
  * Assemble the physical world at t = 0.  With @p deferControl the
- * control plane is left for startRowControlPlane() at the warmup
+ * control plane is left for startControlPlane() at the warmup
  * boundary; without it every component is created inline in the
- * original (determinism-pinned) order.  With @p resume the trace is
- * adopted from the snapshot and not injected — restoreRowWorld()
- * re-arms the dispatcher's in-flight arrival instead.
+ * original (determinism-pinned) order.  With @p resume the traces
+ * are adopted from the snapshot and not injected — restoreWorld()
+ * re-arms each dispatcher's in-flight arrival instead.
  */
 void
-buildRowWorld(RowWorld &world, bool deferControl,
-              const WarmupSnapshot *resume)
+buildWorld(World &world, bool deferControl,
+           const WarmupSnapshot *resume)
 {
     const ExperimentConfig &config = world.config;
-    cluster::Row &row = world.row;
+    if (config.topology.enabled)
+        buildSiteCells(world);
+    else
+        buildRowCells(world);
+    cluster::PowerDomain &root = *world.root;
 
-    if (config.powerScaleFactor != 1.0)
-        row.setPowerScaleFactor(config.powerScaleFactor);
-    world.provisioned = row.provisionedWatts();
+    if (config.powerScaleFactor != 1.0) {
+        for (cluster::InferenceServer *server : root.servers())
+            server->setPowerScaleFactor(config.powerScaleFactor);
+    }
+
+    root.visit([&world, &config](cluster::PowerDomain &domain) {
+        telemetry::DomainManager *manager = domain.manager();
+        if (!manager)
+            return;
+        // One telemetry sample lands per interval for the whole
+        // run: size each recording buffer up front so the steady
+        // state never reallocates.
+        manager->reserveSeries(config.duration);
+        sim::Accumulator &acc = world.wattsAcc[&domain];
+        manager->addListener(
+            [&acc](sim::Tick, double watts) { acc.add(watts); });
+    });
+
     world.obs = config.obs;
-
-    // One telemetry sample lands per interval for the whole run:
-    // size the recording buffer up front so the steady state never
-    // reallocates.
-    row.rowManager().reserveSeries(config.duration);
-
-    attachRowObservability(world);
-    makeRowTrace(world, resume);
+    attachObservability(world);
+    makeTraces(world, resume);
 
     world.energy = std::make_unique<telemetry::EnergyMeter>(
-        world.sim, [&row] { return row.powerWatts(); });
+        world.sim, [&root] { return root.powerWatts(); });
     world.energy->start();
 
-    // Track row utilization independently of management so that
-    // unthrottled baselines also report max/mean utilization.
+    // Track utilization against the root budget independently of
+    // management so that unthrottled baselines also report max/mean
+    // utilization.
     sim::Accumulator &utilization = world.utilization;
-    double provisioned = world.provisioned;
-    row.rowManager().addListener(
-        [&utilization, provisioned](sim::Tick, double watts) {
-            utilization.add(watts / provisioned);
+    double rootBudget = root.budgetWatts();
+    root.manager()->addListener(
+        [&utilization, rootBudget](sim::Tick, double watts) {
+            utilization.add(watts / rootBudget);
         });
 
     if (!deferControl)
-        buildRowManager(world);
-    buildRowBreaker(world);
+        buildManagers(world);
+    armRowBreaker(world);
     if (!deferControl) {
-        buildRowInjector(world);
-        buildRowSafety(world);
+        buildInjector(world);
+        buildMonitors(world);
     }
 
-    if (!resume)
-        row.dispatcher().injectTrace(*world.trace);
+    if (!resume) {
+        for (std::size_t i = 0; i < world.cells.size(); ++i)
+            world.cells[i].dispatcher->injectTrace(world.trace(i));
+    }
 
     // Interval stats: snapshot the registry on a fixed sim-time
     // cadence.  Counters are delta'd inside IntervalStats; the
@@ -372,20 +522,29 @@ buildRowWorld(RowWorld &world, bool deferControl,
     }
 }
 
-/** Capture the physical world at the warmup boundary (pure read). */
+/** Capture the physical world at the warmup boundary (pure read).
+ *  Domain-owned state is enumerated in pre-order over the tree, so
+ *  the rebuilt world can zip itself back together positionally. */
 WarmupSnapshot
-captureRowSnapshot(RowWorld &world)
+captureSnapshot(World &world)
 {
     WarmupSnapshot snap;
     snap.warmup = world.config.warmup;
     snap.simState.queue = world.sim.queue().captureState();
-    snap.trace = world.ownedTrace;
-    snap.dispatchers.push_back(world.row.dispatcher().saveState());
-    for (cluster::InferenceServer *server : world.row.servers())
+    snap.traces = world.traces;
+    for (const ServingCell &cell : world.cells)
+        snap.dispatchers.push_back(cell.dispatcher->saveState());
+    for (cluster::InferenceServer *server : world.root->servers())
         snap.servers.push_back(server->saveState());
-    snap.domainManagers.push_back(world.row.rowManager().saveState());
-    if (world.breaker)
-        snap.breakers.push_back(world.breaker->saveState());
+    world.root->visit([&](cluster::PowerDomain &domain) {
+        if (domain.manager()) {
+            snap.domainManagers.push_back(
+                domain.manager()->saveState());
+            snap.domainWatts.push_back(world.wattsAcc[&domain]);
+        }
+        if (domain.breaker())
+            snap.breakers.push_back(domain.breaker()->saveState());
+    });
     snap.energy = world.energy->saveState();
     snap.utilization = world.utilization;
     if (world.obs) {
@@ -402,7 +561,7 @@ captureRowSnapshot(RowWorld &world)
  *  snapshot: adopt queue counters, restore component state, re-arm
  *  every pending callback with its original (when, seq). */
 void
-restoreRowWorld(RowWorld &world, const WarmupSnapshot &snapshot)
+restoreWorld(World &world, const WarmupSnapshot &snapshot)
 {
     const ExperimentConfig &config = world.config;
     POLCA_CHECK(snapshot.warmup == config.warmup,
@@ -411,26 +570,46 @@ restoreRowWorld(RowWorld &world, const WarmupSnapshot &snapshot)
     POLCA_CHECK(!world.obs || snapshot.hasObs,
                 "branching an observed run from an unobserved "
                 "snapshot: the warmup's metric values are missing");
+    POLCA_CHECK(snapshot.dispatchers.size() == world.cells.size(),
+                "snapshot has ", snapshot.dispatchers.size(),
+                " dispatchers, world has ", world.cells.size(),
+                " cells");
     std::vector<cluster::InferenceServer *> servers =
-        world.row.servers();
+        world.root->servers();
     POLCA_CHECK(snapshot.servers.size() == servers.size(),
                 "snapshot has ", snapshot.servers.size(),
                 " servers, world has ", servers.size());
-    POLCA_CHECK(snapshot.dispatchers.size() == 1,
-                "flat-row snapshot carries ",
-                snapshot.dispatchers.size(), " dispatchers");
-    POLCA_CHECK(snapshot.breakers.size() ==
-                    (world.breaker ? 1u : 0u),
-                "snapshot/world breaker mismatch");
 
     world.sim.queue().beginRestore(snapshot.simState.queue);
-    world.row.dispatcher().restoreState(snapshot.dispatchers[0],
-                                        world.trace);
+    for (std::size_t i = 0; i < world.cells.size(); ++i) {
+        world.cells[i].dispatcher->restoreState(
+            snapshot.dispatchers[i], &world.trace(i));
+    }
     for (std::size_t i = 0; i < servers.size(); ++i)
         servers[i]->restoreState(snapshot.servers[i]);
-    world.row.rowManager().restoreState(snapshot.domainManagers.at(0));
-    if (world.breaker)
-        world.breaker->restoreState(snapshot.breakers[0]);
+    std::size_t managerIndex = 0;
+    std::size_t breakerIndex = 0;
+    world.root->visit([&](cluster::PowerDomain &domain) {
+        if (domain.manager()) {
+            POLCA_CHECK(managerIndex < snapshot.domainManagers.size(),
+                        "snapshot is short of domain managers");
+            domain.manager()->restoreState(
+                snapshot.domainManagers[managerIndex]);
+            world.wattsAcc[&domain] =
+                snapshot.domainWatts[managerIndex];
+            ++managerIndex;
+        }
+        if (domain.breaker()) {
+            POLCA_CHECK(breakerIndex < snapshot.breakers.size(),
+                        "snapshot is short of breakers");
+            domain.breaker()->restoreState(
+                snapshot.breakers[breakerIndex]);
+            ++breakerIndex;
+        }
+    });
+    POLCA_CHECK(managerIndex == snapshot.domainManagers.size() &&
+                    breakerIndex == snapshot.breakers.size(),
+                "snapshot carries more domain state than the tree");
     world.energy->restoreState(snapshot.energy);
     world.utilization = snapshot.utilization;
 
@@ -455,19 +634,132 @@ restoreRowWorld(RowWorld &world, const WarmupSnapshot &snapshot)
     world.sim.queue().endRestore(expectedLive);
 }
 
+/** Fleet latency and throughput over every cell.  A lone cell's
+ *  samplers are read in place rather than copied: a day-long row
+ *  holds tens of thousands of samples. */
+void
+mergeServing(const World &world, ExperimentResult &result)
+{
+    bool merge = world.cells.size() > 1;
+    sim::Sampler lowAll;
+    sim::Sampler highAll;
+    std::vector<sim::Sampler> byWorkloadAll;
+    for (const ServingCell &cell : world.cells) {
+        const cluster::Dispatcher &dispatcher = *cell.dispatcher;
+        if (merge) {
+            for (double v : dispatcher.latencySeconds(
+                                          workload::Priority::Low)
+                                .values())
+                lowAll.add(v);
+            for (double v : dispatcher.latencySeconds(
+                                          workload::Priority::High)
+                                .values())
+                highAll.add(v);
+            const std::vector<sim::Sampler> &perClass =
+                dispatcher.latencyByWorkload();
+            if (byWorkloadAll.size() < perClass.size())
+                byWorkloadAll.resize(perClass.size());
+            for (std::size_t w = 0; w < perClass.size(); ++w) {
+                for (double v : perClass[w].values())
+                    byWorkloadAll[w].add(v);
+            }
+        }
+        result.lowThroughput +=
+            dispatcher.throughput(workload::Priority::Low);
+        result.highThroughput +=
+            dispatcher.throughput(workload::Priority::High);
+        result.lowArrivals +=
+            dispatcher.arrivals(workload::Priority::Low);
+        result.highArrivals +=
+            dispatcher.arrivals(workload::Priority::High);
+        result.lowCompletions +=
+            dispatcher.completions(workload::Priority::Low);
+        result.highCompletions +=
+            dispatcher.completions(workload::Priority::High);
+    }
+    const cluster::Dispatcher &first = *world.cells.front().dispatcher;
+    result.low = LatencyStats::from(
+        merge ? lowAll : first.latencySeconds(workload::Priority::Low));
+    result.high = LatencyStats::from(
+        merge ? highAll
+              : first.latencySeconds(workload::Priority::High));
+    for (const sim::Sampler &sampler :
+         merge ? byWorkloadAll : first.latencyByWorkload())
+        result.byWorkload.push_back(LatencyStats::from(sampler));
+}
+
+/** Per-level rollup, pre-order so the site row leads the table. */
+void
+rollUpDomains(const World &world, ExperimentResult &result)
+{
+    std::map<const cluster::PowerDomain *, std::size_t> cellIndex;
+    for (std::size_t i = 0; i < world.cells.size(); ++i)
+        cellIndex[world.cells[i].domain] = i;
+    const cluster::PowerDomain &root = *world.root;
+    root.visit([&](const cluster::PowerDomain &domain) {
+        if (domain.isLeaf())
+            return;
+        DomainStats stats;
+        stats.path = domain.path();
+        stats.level = cluster::toString(domain.level());
+        stats.servers = domain.numServers();
+        stats.provisionedWatts = domain.provisionedWatts();
+        stats.budgetWatts = domain.budgetWatts();
+        auto accIt = world.wattsAcc.find(&domain);
+        if (accIt != world.wattsAcc.end() && accIt->second.count() > 0) {
+            stats.peakWatts = accIt->second.max();
+            stats.meanWatts = accIt->second.mean();
+        }
+        if (const telemetry::BreakerModel *breaker = domain.breaker()) {
+            stats.breakerLimitWatts = breaker->breakerLimitWatts();
+            stats.breakerTrips = breaker->trips();
+            stats.breakerNearTrips = breaker->nearTrips();
+            stats.overdrawWattSeconds = breaker->overdrawWattSeconds();
+            stats.secondsAboveBudget = sim::ticksToSeconds(
+                breaker->ticksAboveProvisioned());
+        }
+        auto cellIt = cellIndex.find(&domain);
+        if (cellIt != cellIndex.end()) {
+            std::size_t i = cellIt->second;
+            const cluster::Dispatcher &dispatcher =
+                *world.cells[i].dispatcher;
+            stats.completions =
+                dispatcher.completions(workload::Priority::Low) +
+                dispatcher.completions(workload::Priority::High);
+            const sim::Sampler &low =
+                dispatcher.latencySeconds(workload::Priority::Low);
+            const sim::Sampler &high =
+                dispatcher.latencySeconds(workload::Priority::High);
+            if (!low.empty())
+                stats.lowP99 = low.p99();
+            if (!high.empty())
+                stats.highP99 = high.p99();
+            if (i < world.managers.size()) {
+                stats.capCommands = world.managers[i]->capCommands();
+                stats.powerBrakeEvents =
+                    world.managers[i]->powerBrakeEvents();
+            }
+            if (i < world.monitors.size()) {
+                stats.violations = static_cast<std::uint64_t>(
+                    world.monitors[i]->violations().size());
+            }
+        }
+        result.domains.push_back(std::move(stats));
+    });
+}
+
 /** Post-run bookkeeping and result extraction (shared by every
  *  execution mode). */
 ExperimentResult
-finishRowRun(RowWorld &world,
-             std::chrono::steady_clock::time_point wallStart)
+finishRun(World &world, std::chrono::steady_clock::time_point wallStart)
 {
     const ExperimentConfig &config = world.config;
     obs::Observability *obs = world.obs;
     sim::Simulation &sim = world.sim;
-    cluster::Row &row = world.row;
+    const cluster::PowerDomain &root = *world.root;
 
-    if (world.safety)
-        world.safety->finish(config.duration);
+    for (const std::unique_ptr<SafetyMonitor> &monitor : world.monitors)
+        monitor->finish(config.duration);
     if (world.statsTask) {
         // Final partial interval at the run end (a no-op when the
         // cadence divides the duration exactly); after it the column
@@ -495,32 +787,10 @@ finishRowRun(RowWorld &world,
         obs->metrics.freezeGauges();
     }
 
-    PowerManager *manager = world.manager.get();
-    SafetyMonitor *safety = world.safety.get();
-    telemetry::BreakerModel *breaker = world.breaker.get();
-    faults::FaultInjector *injector = world.injector.get();
-    telemetry::EnergyMeter &energy = *world.energy;
-    sim::Accumulator &utilization = world.utilization;
-
     ExperimentResult result;
-    cluster::Dispatcher &dispatcher = row.dispatcher();
-    result.low = LatencyStats::from(
-        dispatcher.latencySeconds(workload::Priority::Low));
-    result.high = LatencyStats::from(
-        dispatcher.latencySeconds(workload::Priority::High));
-    result.lowThroughput =
-        dispatcher.throughput(workload::Priority::Low);
-    result.highThroughput =
-        dispatcher.throughput(workload::Priority::High);
-    result.lowArrivals = dispatcher.arrivals(workload::Priority::Low);
-    result.highArrivals = dispatcher.arrivals(workload::Priority::High);
-    result.lowCompletions =
-        dispatcher.completions(workload::Priority::Low);
-    result.highCompletions =
-        dispatcher.completions(workload::Priority::High);
-    for (const sim::Sampler &sampler : dispatcher.latencyByWorkload())
-        result.byWorkload.push_back(LatencyStats::from(sampler));
+    mergeServing(world, result);
 
+    telemetry::EnergyMeter &energy = *world.energy;
     result.energyKwh = energy.kilowattHours();
     std::uint64_t completions =
         result.lowCompletions + result.highCompletions;
@@ -529,37 +799,49 @@ finishRowRun(RowWorld &world,
             static_cast<double>(completions);
     }
 
-    if (utilization.count() > 0) {
-        result.maxUtilization = utilization.max();
-        result.meanUtilization = utilization.mean();
+    if (world.utilization.count() > 0) {
+        result.maxUtilization = world.utilization.max();
+        result.meanUtilization = world.utilization.mean();
     }
-    if (manager) {
-        result.powerBrakeEvents = manager->powerBrakeEvents();
-        result.capCommands = manager->capCommands();
-        result.uncapCommands = manager->uncapCommands();
-        result.reissuedCommands = manager->reissuedCommands();
-        result.lpLockedTicks =
+
+    for (const std::unique_ptr<PowerManager> &manager : world.managers) {
+        result.powerBrakeEvents += manager->powerBrakeEvents();
+        result.capCommands += manager->capCommands();
+        result.uncapCommands += manager->uncapCommands();
+        result.reissuedCommands += manager->reissuedCommands();
+        result.lpLockedTicks +=
             manager->lockedTicks(workload::Priority::Low);
-        result.hpLockedTicks =
+        result.hpLockedTicks +=
             manager->lockedTicks(workload::Priority::High);
-        result.failSafeEntries = manager->failSafeEntries();
-        result.failSafeTicks = manager->failSafeTicks();
-        result.flaggedChannels = manager->flaggedChannels();
-        result.controllerCrashes = manager->controllerCrashes();
-        result.controllerRecoveries = manager->controllerRecoveries();
-        result.controllerDownTicks = manager->controllerDownTicks();
-        result.mttrTotalTicks = manager->mttrTotalTicks();
-        result.mttrMaxTicks = manager->mttrMaxTicks();
+        result.failSafeEntries += manager->failSafeEntries();
+        result.failSafeTicks += manager->failSafeTicks();
+        result.flaggedChannels += manager->flaggedChannels();
+        result.controllerCrashes += manager->controllerCrashes();
+        result.controllerRecoveries += manager->controllerRecoveries();
+        result.controllerDownTicks += manager->controllerDownTicks();
+        result.mttrTotalTicks += manager->mttrTotalTicks();
+        result.mttrMaxTicks =
+            std::max(result.mttrMaxTicks, manager->mttrMaxTicks());
         result.timeToFailSafeMaxTicks =
-            manager->timeToFailSafeMaxTicks();
-        result.capsHeldStaleTicks = manager->capsHeldStaleTicks();
-        result.staleTicks = manager->staleTicks();
-        result.brakeTicks = manager->brakeTicks();
-        result.modeTransitions = manager->modeTransitions();
+            std::max(result.timeToFailSafeMaxTicks,
+                     manager->timeToFailSafeMaxTicks());
+        result.capsHeldStaleTicks += manager->capsHeldStaleTicks();
+        result.staleTicks += manager->staleTicks();
+        result.brakeTicks += manager->brakeTicks();
+        result.modeTransitions += manager->modeTransitions();
     }
-    if (safety)
-        result.violations = safety->violations();
-    if (breaker) {
+
+    for (const std::unique_ptr<SafetyMonitor> &monitor : world.monitors) {
+        const std::vector<SafetyViolation> &violations =
+            monitor->violations();
+        result.violations.insert(result.violations.end(),
+                                 violations.begin(), violations.end());
+    }
+
+    // The headline breaker columns report the root breaker: the row
+    // PDU, or the upstream site protection the whole tree must not
+    // trip.
+    if (const telemetry::BreakerModel *breaker = root.breaker()) {
         result.breakerTrips = breaker->trips();
         result.breakerNearTrips = breaker->nearTrips();
         result.firstBreakerTrip = breaker->firstTripTime();
@@ -568,16 +850,33 @@ finishRowRun(RowWorld &world,
         result.longestOverLimitStreak =
             breaker->longestOverLimitStreak();
     }
-    result.droppedReadings = row.rowManager().droppedReadings();
-    if (injector) {
-        result.corruptedReadings = injector->corruptedReadings();
-        result.crashesInjected = injector->crashesInjected();
+
+    if (world.site)
+        rollUpDomains(world, result);
+
+    root.visit([&result](const cluster::PowerDomain &domain) {
+        if (domain.manager())
+            result.droppedReadings +=
+                domain.manager()->droppedReadings();
+    });
+    if (world.injector) {
+        result.corruptedReadings = world.injector->corruptedReadings();
+        result.crashesInjected = world.injector->crashesInjected();
     }
-    for (cluster::InferenceServer *server : row.servers())
+    for (const cluster::InferenceServer *server : root.servers())
         result.droppedRequests += server->droppedRequests();
 
-    if (config.recordRowSeries)
-        result.rowPowerSeries = row.rowManager().series();
+    if (world.recordSeries) {
+        result.rowPowerSeries = root.manager()->series();
+        if (world.site) {
+            for (const ServingCell &cell : world.cells) {
+                DomainPowerSeries series;
+                series.path = cell.domain->path();
+                series.series = cell.domain->manager()->series();
+                result.domainPowerSeries.push_back(std::move(series));
+            }
+        }
+    }
     return result;
 }
 
@@ -640,30 +939,35 @@ validateWarmupConfig(const ExperimentConfig &config)
 ExperimentResult
 runOversubExperiment(const ExperimentConfig &config)
 {
-    if (config.topology.enabled)
-        return runSiteExperiment(config);
+    if (config.topology.enabled) {
+        if (config.externalTrace)
+            sim::fatal("site mode does not support external traces");
+        if (!config.faultPlan.empty() || config.chaos.enabled)
+            sim::fatal("site mode does not support fault/chaos "
+                       "injection");
+    }
     validateWarmupConfig(config);
 
-    RowWorld world(config);
+    World world(config);
     const WarmupSnapshot *resume = config.resumeFrom.get();
-    buildRowWorld(world, /*deferControl=*/config.warmup > 0, resume);
+    buildWorld(world, /*deferControl=*/config.warmup > 0, resume);
 
     auto wallStart = std::chrono::steady_clock::now();
     if (config.warmup > 0) {
         if (resume) {
-            restoreRowWorld(world, *resume);
+            restoreWorld(world, *resume);
         } else {
             world.sim.runUntil(config.warmup);
             if (config.onWarmupSnapshot) {
                 config.onWarmupSnapshot(
                     std::make_shared<const WarmupSnapshot>(
-                        captureRowSnapshot(world)));
+                        captureSnapshot(world)));
             }
         }
-        startRowControlPlane(world);
+        startControlPlane(world);
     }
     world.sim.runUntil(config.duration);
-    return finishRowRun(world, wallStart);
+    return finishRun(world, wallStart);
 }
 
 NormalizedLatency

@@ -1,10 +1,11 @@
 /**
  * @file
  * The oversubscription experiment harness (Section 6.4-6.6): build a
- * row, generate (or accept) a request trace scaled to the deployed
- * server count, attach a power manager with a policy, run, and report
- * the paper's metrics — per-priority p50/p99/max latency, throughput,
- * and power-brake counts.
+ * row (or a site of rows), generate (or accept) a request trace per
+ * row scaled to its deployed server count, attach a power manager
+ * with a policy to each row, run, and report the paper's metrics —
+ * per-priority p50/p99/max latency, throughput, and power-brake
+ * counts.
  */
 
 #pragma once
@@ -314,7 +315,13 @@ struct ExperimentResult
     /** @} */
 };
 
-/** Run one experiment end to end. */
+/**
+ * Run one experiment end to end: the flat row, or the site tree when
+ * config.topology.enabled.  Site mode restricts a few flat-row
+ * features: external traces and fault/chaos injection are rejected
+ * (fatal), and pool auto-balancing is ignored because every row
+ * group declares its split explicitly.
+ */
 ExperimentResult runOversubExperiment(const ExperimentConfig &config);
 
 /**

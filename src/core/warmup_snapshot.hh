@@ -46,18 +46,15 @@ namespace polca::core {
 
 /**
  * Everything needed to resume a run from its warmup boundary.
- * Captured by the flat-row and site harnesses; field vectors are
- * ordered deterministically so a rebuilt world can zip itself back
- * together without names:
+ * Field vectors are ordered deterministically so a rebuilt world can
+ * zip itself back together without names:
  *
- *  - `servers`: construction order (flat row) / pre-order over the
- *    site tree's server leaves — both equal what servers() returns.
- *  - `dispatchers`: the single row dispatcher, or site rows in
- *    Site::rows() order.
- *  - `domainManagers`/`breakers`: the flat row manager/breaker, or
- *    pre-order over non-leaf tree domains that own one.
- *  - `domainWatts`: site-mode per-domain telemetry accumulators, in
- *    the same pre-order over manager-owning domains.
+ *  - `traces`, `dispatchers`: per cell (the flat row's one cell, or
+ *    site rows in Site::rows() order).
+ *  - `servers`: pre-order over the tree's server leaves, which is
+ *    what PowerDomain::servers() returns.
+ *  - `domainManagers`/`breakers`/`domainWatts`: pre-order over the
+ *    tree's domains that own a manager (resp. a breaker).
  */
 struct WarmupSnapshot
 {
@@ -73,10 +70,9 @@ struct WarmupSnapshot
     /** Event-queue counters at the boundary (sim substrate). */
     sim::Snapshot simState;
 
-    /** Shared ownership of the generated trace(s), so branches skip
-     *  regeneration.  `trace` is null when the run fed an external
-     *  trace (the branch config carries the same pointer). */
-    std::shared_ptr<const workload::Trace> trace;
+    /** Shared ownership of the generated traces, one per cell, so
+     *  branches skip regeneration.  Null when the run fed an
+     *  external trace (the branch config carries the same pointer). */
     std::shared_ptr<const std::vector<workload::Trace>> traces;
 
     std::vector<cluster::Dispatcher::State> dispatchers;
@@ -85,10 +81,10 @@ struct WarmupSnapshot
     std::vector<telemetry::BreakerModel::State> breakers;
     telemetry::EnergyMeter::State energy;
 
-    /** Harness-local utilization accumulator (row or site scope). */
+    /** Utilization against the root budget (row or site scope). */
     sim::Accumulator utilization;
 
-    /** Site-mode per-domain watts accumulators (see ordering note). */
+    /** Per-domain telemetry watts accumulators. */
     std::vector<sim::Accumulator> domainWatts;
 
     /** @name Observability values (populated when hasObs) */

@@ -127,3 +127,24 @@ TEST(SiteExperiment, UnmanagedSiteRunsWithoutManagers)
     EXPECT_EQ(result.capCommands, 0u);
     EXPECT_GT(result.lowCompletions + result.highCompletions, 0u);
 }
+
+TEST(SiteExperimentDeath, RejectsFaultsChaosAndExternalTrace)
+{
+    ExperimentConfig faulted = smallSite();
+    faults::ServerCrash crash;
+    crash.at = sim::secondsToTicks(60);
+    faulted.faultPlan.crashes.push_back(crash);
+    EXPECT_DEATH(runOversubExperiment(faulted),
+                 "site mode does not support fault/chaos injection");
+
+    ExperimentConfig chaotic = smallSite();
+    chaotic.chaos.enabled = true;
+    EXPECT_DEATH(runOversubExperiment(chaotic),
+                 "site mode does not support fault/chaos injection");
+
+    workload::Trace external;
+    ExperimentConfig traced = smallSite();
+    traced.externalTrace = &external;
+    EXPECT_DEATH(runOversubExperiment(traced),
+                 "site mode does not support external traces");
+}

@@ -215,6 +215,7 @@ warmSiteConfig()
     config.seed = 5;
     config.duration = sim::secondsToTicks(360);
     config.warmup = sim::secondsToTicks(120);
+    config.obsOptions.metricsInterval = sim::secondsToTicks(60);
     config.topology.enabled = true;
     cluster::TopologyRowGroup group;
     group.name = "a100";
@@ -312,10 +313,13 @@ TEST(SnapshotExperiment, SiteBranchIsBitIdenticalToFreshWarmup)
     expectBranchMatchesFresh(warmSiteConfig());
 }
 
-TEST(SnapshotExperiment, UnobservedBaselineBranchesFromObservedLeader)
+/** Branch @p base's unthrottled, unobserved baseline from an
+ *  observed leader's snapshot and require it to match a fresh
+ *  baseline run. */
+void
+expectUnobservedBaselineMatchesFresh(const core::ExperimentConfig &base)
 {
     sim::QuietScope quiet(true);
-    core::ExperimentConfig base = warmRowConfig();
 
     obs::Observability leaderObs;
     core::ExperimentConfig leader = base;
@@ -350,6 +354,12 @@ TEST(SnapshotExperiment, UnobservedBaselineBranchesFromObservedLeader)
     EXPECT_DOUBLE_EQ(freshResult.high.p99, branchedResult.high.p99);
     EXPECT_DOUBLE_EQ(freshResult.energyKwh,
                      branchedResult.energyKwh);
+}
+
+TEST(SnapshotExperiment, UnobservedBaselineBranchesFromObservedLeader)
+{
+    expectUnobservedBaselineMatchesFresh(warmRowConfig());
+    expectUnobservedBaselineMatchesFresh(warmSiteConfig());
 }
 
 TEST(SnapshotExperiment, ValidateWarmupConfigRejectsConflicts)
