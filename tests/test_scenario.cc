@@ -401,4 +401,119 @@ TEST(Scenario, SweepPointDumpReparses)
     }
 }
 
+/** One non-default value in every dumped section survives
+ *  dump -> reparse.  The fields are checked directly, not through
+ *  resolvedConfigsEqual, so a section the dump drops fails here even
+ *  when the equality walk drops it too. */
+TEST(Scenario, DumpCarriesEverySection)
+{
+    ScenarioSet original = load(
+        "[row.server.gpu]\n"
+        "tdp_watts = 390\n"
+        "[model]\n"
+        "preset = \"BLOOM-176B\"\n"
+        "token_time_ms = 90\n"
+        "[policy]\n"
+        "preset = \"none\"\n"
+        "[[policy.rules]]\n"
+        "name = \"lp\"\n"
+        "target = \"low\"\n"
+        "cap_at = 85%\n"
+        "uncap_at = 80%\n"
+        "lock_mhz = 1200\n"
+        "[[workload.mix]]\n"
+        "name = \"chat\"\n"
+        "prompt_min = 10\n"
+        "prompt_max = 100\n"
+        "output_min = 5\n"
+        "output_max = 50\n"
+        "traffic_fraction = 1\n"
+        "high_priority_fraction = 30%\n"
+        "[faults.bursty_loss]\n"
+        "enabled = true\n"
+        "[[faults.blackouts]]\n"
+        "start = 5min\n"
+        "duration = 1h\n"
+        "[[faults.sensor_faults]]\n"
+        "start = 2h\n"
+        "duration = 10min\n"
+        "mode = \"noise\"\n"
+        "bias_watts = 0\n"
+        "noise_stddev_watts = 50\n"
+        "[[faults.oob_outages]]\n"
+        "start = 3h\n"
+        "duration = 5min\n"
+        "[[faults.crashes]]\n"
+        "at = 4h\n"
+        "downtime = 10min\n"
+        "server_index = 3\n"
+        "permanent = false\n"
+        "[[faults.controller_crashes]]\n"
+        "at = 5h\n"
+        "downtime = 2min\n"
+        "cold_restart = true\n"
+        "[chaos]\n"
+        "intensity = 0.5\n"
+        "[safety]\n"
+        "max_brake_time_fraction = 0.2\n"
+        "[obs]\n"
+        "interval = 60\n"
+        "[topology]\n"
+        "row_budget_fraction = 0.9\n"
+        "[[topology.rows]]\n"
+        "name = \"a100\"\n"
+        "rows = 2\n"
+        "racks_per_row = 3\n"
+        "servers_per_rack = 4\n"
+        "server = \"DGX-A100-40GB\"\n"
+        "model = \"Llama2-70B\"\n"
+        "lp_server_fraction = 0.25\n"
+        "provisioned_per_server_watts = 5000\n");
+    ASSERT_EQ(original.points.size(), 1u);
+    std::ostringstream os;
+    dumpResolved(original.points[0].config, original.points[0].tree,
+                 os);
+    ScenarioSet reparsed = load(os.str());
+    ASSERT_EQ(reparsed.points.size(), 1u);
+    const core::ExperimentConfig &c = reparsed.points[0].config;
+
+    EXPECT_EQ(c.row.serverSpec.gpu.tdpWatts, 390.0);
+    EXPECT_EQ(effectiveModelSpec(c.row).tokenTimeMs, 90.0);
+
+    ASSERT_EQ(c.policy.rules.size(), 1u);
+    EXPECT_EQ(c.policy.rules[0].name, "lp");
+    EXPECT_EQ(c.policy.rules[0].capFraction, 0.85);
+    EXPECT_EQ(c.policy.rules[0].lockMhz, 1200.0);
+
+    ASSERT_EQ(c.mix.size(), 1u);
+    EXPECT_EQ(c.mix[0].name, "chat");
+    EXPECT_EQ(c.mix[0].promptMax, 100);
+    EXPECT_EQ(c.mix[0].highPriorityFraction, 0.3);
+
+    const faults::FaultPlan &plan = c.faultPlan;
+    EXPECT_TRUE(plan.burstyLoss.enabled);
+    ASSERT_EQ(plan.blackouts.size(), 1u);
+    EXPECT_EQ(plan.blackouts[0].start, sim::secondsToTicks(300));
+    ASSERT_EQ(plan.sensorFaults.size(), 1u);
+    EXPECT_EQ(plan.sensorFaults[0].mode,
+              faults::SensorFaultMode::Noise);
+    EXPECT_EQ(plan.sensorFaults[0].noiseStddevWatts, 50.0);
+    ASSERT_EQ(plan.oobOutages.size(), 1u);
+    EXPECT_EQ(plan.oobOutages[0].start, sim::secondsToTicks(3 * 3600));
+    ASSERT_EQ(plan.crashes.size(), 1u);
+    EXPECT_EQ(plan.crashes[0].serverIndex, 3);
+    ASSERT_EQ(plan.controllerCrashes.size(), 1u);
+    EXPECT_TRUE(plan.controllerCrashes[0].coldRestart);
+
+    EXPECT_EQ(c.chaos.intensity, 0.5);
+    EXPECT_EQ(c.safety.maxBrakeTimeFraction, 0.2);
+    EXPECT_EQ(c.obsOptions.metricsInterval, sim::secondsToTicks(60));
+    EXPECT_EQ(c.topology.rowBudgetFraction, 0.9);
+    ASSERT_EQ(c.topology.groups.size(), 1u);
+    EXPECT_EQ(c.topology.groups[0].name, "a100");
+    EXPECT_EQ(c.topology.groups[0].server, "DGX-A100-40GB");
+    EXPECT_EQ(c.topology.groups[0].model, "Llama2-70B");
+    EXPECT_EQ(c.topology.groups[0].serversPerRack, 4);
+}
+
 } // namespace
