@@ -1,5 +1,6 @@
 #include "cluster/topology.hh"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "cluster/allocator.hh"
@@ -28,32 +29,22 @@ TopologyConfig::numServers() const
 power::ServerSpec
 serverSpecForPreset(const std::string &preset)
 {
-    if (preset == "DGX-A100-80GB")
-        return power::ServerSpec::dgxA100_80gb();
-    if (preset == "DGX-A100-40GB")
-        return power::ServerSpec::dgxA100_40gb();
-    if (preset == "DGX-H100")
-        return power::ServerSpec::dgxH100();
+    for (const power::ServerSpec &spec : power::ServerSpec::presets()) {
+        if (spec.name == preset)
+            return spec;
+    }
     sim::fatal("topology: unknown server preset '", preset, "'");
-    return power::ServerSpec::dgxA100_80gb();  // unreachable
 }
-
-namespace {
 
 bool
 validGroupName(const std::string &name)
 {
-    if (name.empty())
-        return false;
-    for (char c : name) {
-        if (!((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
-              c == '_'))
-            return false;
-    }
-    return true;
+    return !name.empty() &&
+        std::all_of(name.begin(), name.end(), [](char c) {
+            return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
+                c == '_';
+        });
 }
-
-} // namespace
 
 Site::Site(sim::Simulation &sim, const TopologyConfig &config,
            const RowConfig &shared, sim::Rng rng)

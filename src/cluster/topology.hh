@@ -112,6 +112,10 @@ struct TopologyConfig
  *  scenario layer validates with a diagnostic first). */
 power::ServerSpec serverSpecForPreset(const std::string &preset);
 
+/** True when a row-group name is lowercase [a-z0-9_], which keeps it
+ *  safe as a dotted metric-path segment. */
+bool validGroupName(const std::string &name);
+
 /**
  * Owns the site tree plus the per-row dispatchers.  The tree is
  * finalized (managers and breakers running) on return; traffic,

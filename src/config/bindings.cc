@@ -29,6 +29,18 @@ sensorModeNames()
             {"stuck-at-last", faults::SensorFaultMode::StuckAtLast}};
 }
 
+/** Check that a [[faults.*]] window has a positive length. */
+template <typename Window>
+auto
+positiveWindow(const std::string &header)
+{
+    return [header](const Window &window) {
+        return window.duration > 0 ? std::string()
+            : "[[" + header + "]]: zero-length window (duration must "
+                              "be > 0)";
+    };
+}
+
 } // namespace
 
 const StructSchema<power::GpuSpec> &
@@ -175,7 +187,13 @@ workloadSpecSchema()
                    Unit::Fraction, 0.0, 1.0)
             .field("high_priority_fraction",
                    &workload::WorkloadSpec::highPriorityFraction,
-                   Unit::Fraction, 0.0, 1.0);
+                   Unit::Fraction, 0.0, 1.0)
+            .check([](const workload::WorkloadSpec &spec) {
+                bool ordered = spec.promptMax >= spec.promptMin &&
+                    spec.outputMax >= spec.outputMin;
+                return ordered ? std::string() : "workload '" +
+                    spec.name + "': max token counts must be >= min";
+            });
         return s;
     }();
     return schema;
@@ -314,7 +332,12 @@ thresholdRuleSchema()
             .field("uncap_at", &core::ThresholdRule::uncapFraction,
                    Unit::Fraction, 0.0, 1.5)
             .field("lock_mhz", &core::ThresholdRule::lockMhz,
-                   Unit::Megahertz, 10.0, 10000.0);
+                   Unit::Megahertz, 10.0, 10000.0)
+            .check([](const core::ThresholdRule &rule) {
+                return rule.uncapFraction < rule.capFraction
+                    ? std::string() : "policy rule '" + rule.name +
+                    "': uncap_at must sit below cap_at";
+            });
         return s;
     }();
     return schema;
@@ -333,7 +356,13 @@ policyConfigSchema()
                    &core::PolicyConfig::powerBrakeReleaseFraction,
                    Unit::Fraction, 0.05, 2.0)
             .boolField("power_brake_enabled",
-                       &core::PolicyConfig::powerBrakeEnabled);
+                       &core::PolicyConfig::powerBrakeEnabled)
+            .check([](const core::PolicyConfig &p) -> std::string {
+                if (p.powerBrakeReleaseFraction < p.powerBrakeFraction)
+                    return {};
+                return "policy: power_brake_release_fraction must sit "
+                       "below power_brake_fraction";
+            });
         return s;
     }();
     return schema;
@@ -407,7 +436,8 @@ blackoutSchema()
         s.tickField("start", &faults::BlackoutWindow::start, 0.0,
                     365.0 * 86400.0)
             .tickField("duration", &faults::BlackoutWindow::duration,
-                       0.0, 365.0 * 86400.0);
+                       0.0, 365.0 * 86400.0)
+            .check(positiveWindow<faults::BlackoutWindow>(s.name()));
         return s;
     }();
     return schema;
@@ -447,7 +477,8 @@ sensorFaultSchema()
             .field("bias_watts", &F::biasWatts, Unit::Watts, -1e6,
                    1e6)
             .field("noise_stddev_watts", &F::noiseStddevWatts,
-                   Unit::Watts, 0.0, 1e6);
+                   Unit::Watts, 0.0, 1e6)
+            .check(positiveWindow<F>(s.name()));
         return s;
     }();
     return schema;
@@ -461,7 +492,8 @@ oobOutageSchema()
         s.tickField("start", &faults::OobOutage::start, 0.0,
                     365.0 * 86400.0)
             .tickField("duration", &faults::OobOutage::duration, 0.0,
-                       365.0 * 86400.0);
+                       365.0 * 86400.0)
+            .check(positiveWindow<faults::OobOutage>(s.name()));
         return s;
     }();
     return schema;
@@ -478,7 +510,17 @@ serverCrashSchema()
                        0.0, 365.0 * 86400.0)
             .intField("server_index",
                       &faults::ServerCrash::serverIndex, 0, 1000000)
-            .boolField("permanent", &faults::ServerCrash::permanent);
+            .boolField("permanent", &faults::ServerCrash::permanent)
+            .check([](const faults::ServerCrash &crash) -> std::string {
+                if (crash.permanent && crash.downtime != 0)
+                    return "[[faults.crashes]]: a permanent crash must "
+                           "not set a downtime";
+                if (!crash.permanent && crash.downtime <= 0)
+                    return "[[faults.crashes]]: crash has no restart; "
+                           "set permanent = true to deliberately "
+                           "leave the server dark";
+                return {};
+            });
         return s;
     }();
     return schema;
@@ -493,7 +535,13 @@ controllerCrashSchema()
         using C = faults::ControllerCrash;
         s.tickField("at", &C::at, 0.0, 365.0 * 86400.0)
             .tickField("downtime", &C::downtime, 0.0, 365.0 * 86400.0)
-            .boolField("cold_restart", &C::coldRestart);
+            .boolField("cold_restart", &C::coldRestart)
+            .check([](const C &crash) -> std::string {
+                if (crash.downtime > 0)
+                    return {};
+                return "[[faults.controller_crashes]]: controller "
+                       "crash has no restart (downtime must be > 0)";
+            });
         return s;
     }();
     return schema;
@@ -562,6 +610,26 @@ chaosConfigSchema()
             .field("controller_cold_restart_probability",
                    &C::controllerColdRestartProbability,
                    Unit::Fraction, 0.0, 1.0);
+        // Duration ranges must not be inverted.
+        auto range = [&s](const char *what, sim::Tick C::*min,
+                          sim::Tick C::*max) {
+            s.check([what, min, max](const C &c) -> std::string {
+                if (c.*min <= c.*max)
+                    return {};
+                return std::string("[chaos]: ") + what +
+                    " duration range is inverted (min > max)";
+            });
+        };
+        range("blackout", &C::blackoutDurationMin,
+              &C::blackoutDurationMax);
+        range("sensor-fault", &C::sensorFaultDurationMin,
+              &C::sensorFaultDurationMax);
+        range("oob-outage", &C::oobOutageDurationMin,
+              &C::oobOutageDurationMax);
+        range("crash-downtime", &C::crashDowntimeMin,
+              &C::crashDowntimeMax);
+        range("controller-downtime", &C::controllerDowntimeMin,
+              &C::controllerDowntimeMax);
         return s;
     }();
     return schema;

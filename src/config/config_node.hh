@@ -142,5 +142,9 @@ ConfigNode parseConfigFile(const std::string &path, Diagnostics &diag);
 std::string nearestKey(const std::string &key,
                        const std::vector<std::string> &candidates);
 
+/** " (did you mean '<nearestKey>'?)", or "" when nothing is close. */
+std::string didYouMean(const std::string &key,
+                       const std::vector<std::string> &candidates);
+
 } // namespace polca::config
 

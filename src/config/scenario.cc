@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <sstream>
+#include <string_view>
 #include <type_traits>
+#include <utility>
 
 #include "core/thread_pool.hh"
 #include "core/workload_aware.hh"
@@ -14,18 +17,6 @@
 namespace polca::config {
 
 namespace {
-
-/** Top-level sections a scenario file may contain. */
-const std::vector<std::string> &
-topLevelSections()
-{
-    static const std::vector<std::string> sections = {
-        "experiment", "row",    "model",    "policy", "manager",
-        "workload",   "faults", "chaos",    "safety", "obs",
-        "sweep",      "topology",
-    };
-    return sections;
-}
 
 bool
 requireKeys(const ConfigNode &section, const std::string &what,
@@ -81,6 +72,291 @@ optionalNumber(const ConfigNode &section, const std::string &key,
     return true;
 }
 
+/** Shape of a section of the resolved config, and how it binds. */
+enum class Form
+{
+    Plain,    ///< [header], applied straight from its schema
+    Table,    ///< [header], bound by a bespoke binder (presets, nesting)
+    Blocks,   ///< [[header]] array of tables, bound by a bespoke binder
+    Derived,  ///< [header] whose struct is computed, not a member
+};
+
+/** Provenance of the fields a section's source does not set. */
+using Fallback = std::string (*)(const core::ExperimentConfig &,
+                                 const ConfigNode &source);
+
+/** One section of the resolved configuration. */
+template <Form F, typename T, typename Get>
+struct Section
+{
+    static constexpr Form form = F;
+
+    const char *header;
+    const StructSchema<T> &schema;
+    /** ExperimentConfig -> the section's struct (for Blocks, its
+     *  vector of structs). */
+    Get get;
+    /** Configures only the control plane, which does not exist before
+     *  t = warmup: left out of warmupDigest. */
+    bool control;
+    Fallback fallback;     ///< nullptr: "default"
+    const char *preamble;  ///< dumped ahead of the fields
+};
+
+constexpr bool kPhysical = false;
+constexpr bool kControl = true;
+
+template <Form F, typename T, typename Get>
+Section<F, T, Get>
+section(const char *header, const StructSchema<T> &schema, Get get,
+        bool control = kPhysical, Fallback fallback = nullptr,
+        const char *preamble = nullptr)
+{
+    return {header, schema, get, control, fallback, preamble};
+}
+
+/** Fault fields not in the file come from its [faults] scenario. */
+std::string
+faultProvenance(const core::ExperimentConfig &, const ConfigNode &source)
+{
+    if (const ConfigNode *faults = source.findPath("faults")) {
+        if (const ConfigNode *scenario = faults->find("scenario")) {
+            std::string name, err;
+            if (parseStringToken(scenario->raw, name, err))
+                return "preset:" + name;
+        }
+    }
+    return "default";
+}
+
+/**
+ * The resolved configuration, one section at a time in dump order:
+ * the one list that bindExperiment, dumpResolved,
+ * resolvedConfigsEqual and warmupDigest read.
+ */
+template <typename Visit>
+void
+forEachSection(Visit &&visit)
+{
+    using E = core::ExperimentConfig;
+    visit(section<Form::Plain>("experiment", experimentSchema(),
+                               [](auto &c) -> auto & { return c; }));
+    visit(section<Form::Table>(
+        "row", rowConfigSchema(),
+        [](auto &c) -> auto & { return c.row; }));
+    visit(section<Form::Table>(
+        "row.server", serverSpecSchema(),
+        [](auto &c) -> auto & { return c.row.serverSpec; }, kPhysical,
+        [](const E &c, const ConfigNode &) {
+            return "preset:" + c.row.serverSpec.name;
+        }));
+    visit(section<Form::Table>(
+        "row.server.gpu", gpuSpecSchema(),
+        [](auto &c) -> auto & { return c.row.serverSpec.gpu; },
+        kPhysical, [](const E &c, const ConfigNode &) {
+            return "preset:" + c.row.serverSpec.gpu.name;
+        }));
+    visit(section<Form::Derived>(
+        "model", modelSpecSchema(),
+        [](const E &c) { return effectiveModelSpec(c.row); }, kPhysical,
+        [](const E &c, const ConfigNode &) {
+            return "catalog:" + effectiveModelSpec(c.row).name;
+        }));
+    // Preset "none" plus the explicit resolved rules: reparsing
+    // rebuilds the exact rule set with no preset involved.
+    visit(section<Form::Table>(
+        "policy", policyConfigSchema(),
+        [](auto &c) -> auto & { return c.policy; }, kControl,
+        [](const E &, const ConfigNode &source) -> std::string {
+            const ConfigNode *policy = source.findPath("policy");
+            if (!policy)
+                return "default";
+            const ConfigNode *preset = policy->find("preset");
+            return preset ? "preset (" + preset->origin + ")"
+                          : "preset";
+        },
+        "preset = \"none\"  # resolved\n"));
+    visit(section<Form::Blocks>(
+        "policy.rules", thresholdRuleSchema(),
+        [](auto &c) -> auto & { return c.policy.rules; }, kControl,
+        [](const E &c, const ConfigNode &) {
+            return "preset:" + c.policy.name;
+        }));
+    visit(section<Form::Plain>(
+        "manager", managerOptionsSchema(),
+        [](auto &c) -> auto & { return c.manager; }, kControl));
+    visit(section<Form::Table>(
+        "workload.diurnal", diurnalSchema(),
+        [](auto &c) -> auto & { return c.diurnal; }));
+    visit(section<Form::Blocks>(
+        "workload.mix", workloadSpecSchema(),
+        [](auto &c) -> auto & { return c.mix; }));
+    visit(section<Form::Table>(
+        "faults.bursty_loss", burstyLossSchema(),
+        [](auto &c) -> auto & { return c.faultPlan.burstyLoss; },
+        kControl, faultProvenance));
+    visit(section<Form::Blocks>(
+        "faults.blackouts", blackoutSchema(),
+        [](auto &c) -> auto & { return c.faultPlan.blackouts; },
+        kControl, faultProvenance));
+    visit(section<Form::Blocks>(
+        "faults.sensor_faults", sensorFaultSchema(),
+        [](auto &c) -> auto & { return c.faultPlan.sensorFaults; },
+        kControl, faultProvenance));
+    visit(section<Form::Blocks>(
+        "faults.oob_outages", oobOutageSchema(),
+        [](auto &c) -> auto & { return c.faultPlan.oobOutages; },
+        kControl, faultProvenance));
+    visit(section<Form::Blocks>(
+        "faults.crashes", serverCrashSchema(),
+        [](auto &c) -> auto & { return c.faultPlan.crashes; },
+        kControl, faultProvenance));
+    visit(section<Form::Blocks>(
+        "faults.controller_crashes", controllerCrashSchema(),
+        [](auto &c) -> auto & { return c.faultPlan.controllerCrashes; },
+        kControl, faultProvenance));
+    visit(section<Form::Plain>(
+        "chaos", chaosConfigSchema(),
+        [](auto &c) -> auto & { return c.chaos; }, kControl));
+    visit(section<Form::Plain>(
+        "safety", safetyOptionsSchema(),
+        [](auto &c) -> auto & { return c.safety; }, kControl));
+    visit(section<Form::Plain>(
+        "obs", obsOptionsSchema(),
+        [](auto &c) -> auto & { return c.obsOptions; }));
+    visit(section<Form::Table>(
+        "topology", topologyConfigSchema(),
+        [](auto &c) -> auto & { return c.topology; }));
+    visit(section<Form::Blocks>(
+        "topology.rows", topologyRowGroupSchema(),
+        [](auto &c) -> auto & { return c.topology.groups; }));
+}
+
+template <typename S>
+constexpr Form formOf = std::remove_cvref_t<S>::form;
+
+/** Dump one section as `[header]`, or one `[[header]]` per element,
+ *  with each field's provenance taken from @p source. */
+template <typename S>
+void
+writeSection(std::ostream &os, const S &s,
+             const core::ExperimentConfig &config,
+             const ConfigNode &source)
+{
+    const auto &value = s.get(config);
+    const ConfigNode *node = source.findPath(s.header);
+    std::string fallback =
+        s.fallback ? s.fallback(config, source) : "default";
+    if constexpr (formOf<S> == Form::Blocks) {
+        for (std::size_t i = 0; i < value.size(); ++i) {
+            const ConfigNode *element = nullptr;
+            if (node && node->kind == ConfigNode::Kind::List &&
+                i < node->items.size() &&
+                node->items[i].kind == ConfigNode::Kind::Section)
+                element = &node->items[i];
+            os << "[[" << s.header << "]]\n";
+            s.schema.dump(value[i], element, os, fallback);
+            os << "\n";
+        }
+    } else {
+        os << "[" << s.header << "]\n";
+        if (s.preamble)
+            os << s.preamble;
+        s.schema.dump(value, node, os, fallback);
+        os << "\n";
+    }
+}
+
+/**
+ * Append one entry to @p out per table of the [[@p header]] array
+ * @p list; with @p complete every schema key must be given.
+ */
+template <typename T>
+bool
+bindBlocks(const ConfigNode &list, const std::string &header,
+           const StructSchema<T> &schema, bool complete,
+           std::vector<T> &out, Diagnostics &diag)
+{
+    if (list.kind != ConfigNode::Kind::List) {
+        diag.error(list.loc, header + " must be a list of [[" + header +
+                   "]] tables");
+        return false;
+    }
+    bool ok = true;
+    for (const ConfigNode &item : list.items) {
+        if (item.kind != ConfigNode::Kind::Section) {
+            diag.error(item.loc, "[[" + header +
+                       "]] entries must be tables");
+            ok = false;
+            continue;
+        }
+        T entry{};
+        if ((complete && !requireKeys(item, "[[" + header + "]]",
+                                      schema.keys(), diag)) ||
+            !schema.apply(item, entry, diag)) {
+            ok = false;
+            continue;
+        }
+        out.push_back(entry);
+    }
+    return ok;
+}
+
+/** "" when one of @p presets is named @p name, else the diagnostic
+ *  that lists them all. */
+template <typename Spec>
+std::string
+unknownPreset(const std::vector<Spec> &presets, const std::string &what,
+              const std::string &name)
+{
+    std::string names;
+    for (const Spec &spec : presets) {
+        if (spec.name == name)
+            return {};
+        names += (names.empty() ? "" : "|") + spec.name;
+    }
+    return "unknown " + what + " preset '" + name + "' (use " + names +
+        ")";
+}
+
+/**
+ * Bind the entries of the bespoke section [@p head] through the
+ * table's `head.<key>` sections: a table applies onto its struct, an
+ * array of tables appends complete entries.  @p keys are the keys the
+ * caller reads itself; any key neither lists is an error.
+ */
+bool
+bindSubsections(const ConfigNode &section, const std::string &head,
+                std::vector<std::string> keys,
+                core::ExperimentConfig &config, Diagnostics &diag)
+{
+    bool ok = true;
+    const std::string prefix = head + ".";
+    forEachSection([&](const auto &s) {
+        std::string_view header = s.header;
+        if (!header.starts_with(prefix))
+            return;
+        keys.emplace_back(header.substr(prefix.size()));
+        const ConfigNode *node = section.find(keys.back());
+        if (!node)
+            return;
+        if constexpr (formOf<decltype(s)> == Form::Blocks) {
+            ok = bindBlocks(*node, s.header, s.schema, true,
+                            s.get(config), diag) && ok;
+        } else if constexpr (formOf<decltype(s)> == Form::Table) {
+            ok = s.schema.apply(*node, s.get(config), diag) && ok;
+        }
+    });
+    for (const auto &[key, node] : section.entries) {
+        if (std::find(keys.begin(), keys.end(), key) != keys.end())
+            continue;
+        diag.error(node.loc, "unknown key '" + key + "' in [" + head +
+                   "]" + didYouMean(key, keys));
+        ok = false;
+    }
+    return ok;
+}
+
 bool
 bindRow(const ConfigNode &rowSection, cluster::RowConfig &row,
         Diagnostics &diag)
@@ -97,17 +373,12 @@ bindRow(const ConfigNode &rowSection, cluster::RowConfig &row,
         if (!optionalString(*server, "preset", preset, diag))
             ok = false;
         if (!preset.empty()) {
-            if (preset == "DGX-A100-80GB") {
-                row.serverSpec = power::ServerSpec::dgxA100_80gb();
-            } else if (preset == "DGX-A100-40GB") {
-                row.serverSpec = power::ServerSpec::dgxA100_40gb();
-            } else if (preset == "DGX-H100") {
-                row.serverSpec = power::ServerSpec::dgxH100();
+            std::string problem = unknownPreset(
+                power::ServerSpec::presets(), "server", preset);
+            if (problem.empty()) {
+                row.serverSpec = cluster::serverSpecForPreset(preset);
             } else {
-                diag.error(server->find("preset")->loc,
-                           "unknown server preset '" + preset +
-                           "' (use DGX-A100-80GB|DGX-A100-40GB|"
-                           "DGX-H100)");
+                diag.error(server->find("preset")->loc, problem);
                 ok = false;
             }
         }
@@ -125,16 +396,12 @@ bindRow(const ConfigNode &rowSection, cluster::RowConfig &row,
             if (!optionalString(*gpu, "preset", gpuPreset, diag))
                 ok = false;
             if (!gpuPreset.empty()) {
-                if (gpuPreset == "A100-80GB" ||
-                    gpuPreset == "A100-40GB" ||
-                    gpuPreset == "H100-80GB") {
-                    row.serverSpec.gpu =
-                        power::GpuSpec::byName(gpuPreset);
+                std::string problem = unknownPreset(
+                    power::GpuSpec::presets(), "GPU", gpuPreset);
+                if (problem.empty()) {
+                    row.serverSpec.gpu = power::GpuSpec::byName(gpuPreset);
                 } else {
-                    diag.error(gpu->find("preset")->loc,
-                               "unknown GPU preset '" + gpuPreset +
-                               "' (use A100-80GB|A100-40GB|"
-                               "H100-80GB)");
+                    diag.error(gpu->find("preset")->loc, problem);
                     ok = false;
                 }
             }
@@ -142,6 +409,14 @@ bindRow(const ConfigNode &rowSection, cluster::RowConfig &row,
                                        {"preset"}))
                 ok = false;
         }
+    }
+    // The harness overwrites the row's flag with
+    // experiment.record_row_series; a true here would be dropped.
+    if (row.recordPowerSeries) {
+        diag.error(rowSection.find("record_power_series")->loc,
+                   "row.record_power_series is set from "
+                   "experiment.record_row_series; set that instead");
+        ok = false;
     }
     return ok;
 }
@@ -268,41 +543,10 @@ bindPolicy(const ConfigNode &root, const cluster::RowConfig &row,
         ok = false;
 
     if (const ConfigNode *rules = section->find("rules")) {
-        if (rules->kind != ConfigNode::Kind::List) {
-            diag.error(rules->loc, "policy.rules must be a list of "
-                       "[[policy.rules]] tables");
-            return false;
-        }
         policy.rules.clear();
-        for (const ConfigNode &item : rules->items) {
-            if (item.kind != ConfigNode::Kind::Section) {
-                diag.error(item.loc, "[[policy.rules]] entries must "
-                           "be tables");
-                ok = false;
-                continue;
-            }
-            core::ThresholdRule rule{};
-            if (!requireKeys(item, "[[policy.rules]]",
-                             thresholdRuleSchema().keys(), diag) ||
-                !thresholdRuleSchema().apply(item, rule, diag)) {
-                ok = false;
-                continue;
-            }
-            if (rule.uncapFraction >= rule.capFraction) {
-                diag.error(item.loc, "policy rule '" + rule.name +
-                           "': uncap_at must sit below cap_at");
-                ok = false;
-            }
-            policy.rules.push_back(rule);
-        }
-    }
-
-    if (policy.powerBrakeReleaseFraction >=
-        policy.powerBrakeFraction) {
-        diag.error(section->loc, "policy: "
-                   "power_brake_release_fraction must sit below "
-                   "power_brake_fraction");
-        ok = false;
+        if (!bindBlocks(*rules, "policy.rules", thresholdRuleSchema(),
+                        true, policy.rules, diag))
+            ok = false;
     }
     return ok;
 }
@@ -319,64 +563,22 @@ bindWorkload(const ConfigNode &root, core::ExperimentConfig &config,
         return false;
     }
 
-    bool ok = true;
-    for (const auto &[key, node] : section->entries) {
-        if (key == "diurnal") {
-            if (!diurnalSchema().apply(node, config.diurnal, diag))
-                ok = false;
-        } else if (key == "mix") {
-            if (node.kind != ConfigNode::Kind::List) {
-                diag.error(node.loc, "workload.mix must be a list of "
-                           "[[workload.mix]] tables");
-                ok = false;
-                continue;
-            }
-            std::vector<workload::WorkloadSpec> mix;
-            double totalTraffic = 0.0;
-            for (const ConfigNode &item : node.items) {
-                if (item.kind != ConfigNode::Kind::Section) {
-                    diag.error(item.loc, "[[workload.mix]] entries "
-                               "must be tables");
-                    ok = false;
-                    continue;
-                }
-                workload::WorkloadSpec spec{};
-                if (!requireKeys(item, "[[workload.mix]]",
-                                 workloadSpecSchema().keys(), diag) ||
-                    !workloadSpecSchema().apply(item, spec, diag)) {
-                    ok = false;
-                    continue;
-                }
-                if (spec.promptMax < spec.promptMin ||
-                    spec.outputMax < spec.outputMin) {
-                    diag.error(item.loc, "workload '" + spec.name +
-                               "': max token counts must be >= min");
-                    ok = false;
-                }
-                totalTraffic += spec.trafficFraction;
-                mix.push_back(spec);
-            }
-            if (ok && !mix.empty()) {
-                if (std::abs(totalTraffic - 1.0) > 1e-3) {
-                    diag.error(node.loc, "workload.mix traffic "
-                               "fractions sum to " +
-                               formatDouble(totalTraffic) +
-                               ", expected 1");
-                    ok = false;
-                } else {
-                    config.mix = std::move(mix);
-                }
-            }
-        } else {
-            std::string near =
-                nearestKey(key, {"diurnal", "mix"});
-            diag.error(node.loc, "unknown key '" + key +
-                       "' in [workload]" +
-                       (near.empty() ? ""
-                                     : " (did you mean '" + near +
-                                           "'?)"));
-            ok = false;
-        }
+    // A mix in the file replaces the default one.
+    std::vector<workload::WorkloadSpec> defaultMix =
+        std::exchange(config.mix, {});
+    bool ok = bindSubsections(*section, "workload", {}, config, diag);
+    if (config.mix.empty()) {
+        config.mix = std::move(defaultMix);
+        return ok;
+    }
+    double totalTraffic = 0.0;
+    for (const workload::WorkloadSpec &spec : config.mix)
+        totalTraffic += spec.trafficFraction;
+    if (ok && std::abs(totalTraffic - 1.0) > 1e-3) {
+        diag.error(section->find("mix")->loc, "workload.mix traffic "
+                   "fractions sum to " + formatDouble(totalTraffic) +
+                   ", expected 1");
+        ok = false;
     }
     return ok;
 }
@@ -402,12 +604,9 @@ bindFaults(const ConfigNode &root, core::ExperimentConfig &config,
             faults::scenarioNames();
         if (std::find(names.begin(), names.end(), scenario) ==
             names.end()) {
-            std::string near = nearestKey(scenario, names);
             diag.error(section->find("scenario")->loc,
                        "unknown fault scenario '" + scenario + "'" +
-                       (near.empty() ? ""
-                                     : " (did you mean '" + near +
-                                           "'?)"));
+                           didYouMean(scenario, names));
             return false;
         }
         int deployed = static_cast<int>(std::lround(
@@ -417,104 +616,9 @@ bindFaults(const ConfigNode &root, core::ExperimentConfig &config,
             scenario, config.duration, deployed);
     }
 
-    // Explicit windows/settings extend (or refine) the preset.
-    for (const auto &[key, node] : section->entries) {
-        if (key == "scenario")
-            continue;
-        if (key == "bursty_loss") {
-            if (!burstyLossSchema().apply(
-                    node, config.faultPlan.burstyLoss, diag))
-                ok = false;
-            continue;
-        }
-        // Per-entry degeneracy checks run at the entry's own source
-        // line; cross-entry problems (overlaps) are reported against
-        // the section after binding.
-        auto bindList = [&](auto &plan, const auto &schema,
-                            auto check) {
-            if (node.kind != ConfigNode::Kind::List) {
-                diag.error(node.loc, "faults." + key +
-                           " must be a list of [[faults." + key +
-                           "]] tables");
-                ok = false;
-                return;
-            }
-            for (const ConfigNode &item : node.items) {
-                if (item.kind != ConfigNode::Kind::Section) {
-                    diag.error(item.loc, "[[faults." + key +
-                               "]] entries must be tables");
-                    ok = false;
-                    continue;
-                }
-                typename std::remove_reference_t<
-                    decltype(plan)>::value_type entry{};
-                if (!requireKeys(item, "[[faults." + key + "]]",
-                                 schema.keys(), diag) ||
-                    !schema.apply(item, entry, diag)) {
-                    ok = false;
-                    continue;
-                }
-                std::string problem = check(entry);
-                if (!problem.empty()) {
-                    diag.error(item.loc, "[[faults." + key + "]]: " +
-                               problem);
-                    ok = false;
-                    continue;
-                }
-                plan.push_back(entry);
-            }
-        };
-        auto windowCheck = [](const auto &entry) -> std::string {
-            if (entry.duration <= 0)
-                return "zero-length window (duration must be > 0)";
-            return {};
-        };
-        if (key == "blackouts") {
-            bindList(config.faultPlan.blackouts, blackoutSchema(),
-                     windowCheck);
-        } else if (key == "sensor_faults") {
-            bindList(config.faultPlan.sensorFaults,
-                     sensorFaultSchema(), windowCheck);
-        } else if (key == "oob_outages") {
-            bindList(config.faultPlan.oobOutages, oobOutageSchema(),
-                     windowCheck);
-        } else if (key == "crashes") {
-            bindList(config.faultPlan.crashes, serverCrashSchema(),
-                     [](const faults::ServerCrash &crash)
-                         -> std::string {
-                         if (crash.permanent && crash.downtime != 0)
-                             return "a permanent crash must not set "
-                                    "a downtime";
-                         if (!crash.permanent && crash.downtime <= 0)
-                             return "crash has no restart; set "
-                                    "permanent = true to "
-                                    "deliberately leave the server "
-                                    "dark";
-                         return {};
-                     });
-        } else if (key == "controller_crashes") {
-            bindList(config.faultPlan.controllerCrashes,
-                     controllerCrashSchema(),
-                     [](const faults::ControllerCrash &crash)
-                         -> std::string {
-                         if (crash.downtime <= 0)
-                             return "controller crash has no restart "
-                                    "(downtime must be > 0)";
-                         return {};
-                     });
-        } else {
-            std::string near = nearestKey(
-                key, {"scenario", "bursty_loss", "blackouts",
-                      "sensor_faults", "oob_outages", "crashes",
-                      "controller_crashes"});
-            diag.error(node.loc, "unknown key '" + key +
-                       "' in [faults]" +
-                       (near.empty() ? ""
-                                     : " (did you mean '" + near +
-                                           "'?)"));
-            ok = false;
-        }
-    }
+    // Explicit windows and settings extend (or refine) the preset.
+    if (!bindSubsections(*section, "faults", {"scenario"}, config, diag))
+        ok = false;
     // Cross-entry problems (overlapping windows, crash-while-down)
     // span multiple source lines, so they anchor on the section.
     if (ok) {
@@ -525,20 +629,6 @@ bindFaults(const ConfigNode &root, core::ExperimentConfig &config,
         }
     }
     return ok;
-}
-
-/** True when the group name is safe inside a dotted metric path. */
-bool
-validGroupName(const std::string &name)
-{
-    if (name.empty())
-        return false;
-    for (char c : name) {
-        if (!((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
-              c == '_'))
-            return false;
-    }
-    return true;
 }
 
 bool
@@ -556,64 +646,50 @@ bindTopology(const ConfigNode &root, core::ExperimentConfig &config,
     bool ok = topologyConfigSchema().apply(*section, config.topology,
                                            diag, {"rows"});
 
+    std::vector<cluster::TopologyRowGroup> &groups =
+        config.topology.groups;
     if (const ConfigNode *rows = section->find("rows")) {
-        if (rows->kind != ConfigNode::Kind::List) {
-            diag.error(rows->loc, "topology.rows must be a list of "
-                       "[[topology.rows]] tables");
+        groups.clear();
+        if (!bindBlocks(*rows, "topology.rows",
+                        topologyRowGroupSchema(), false, groups, diag))
             return false;
-        }
+        // Every entry bound, so groups[i] came from rows->items[i].
         llm::ModelCatalog catalog;
-        config.topology.groups.clear();
-        for (const ConfigNode &item : rows->items) {
-            if (item.kind != ConfigNode::Kind::Section) {
-                diag.error(item.loc, "[[topology.rows]] entries must "
-                           "be tables");
-                ok = false;
-                continue;
-            }
-            cluster::TopologyRowGroup group{};
-            if (!topologyRowGroupSchema().apply(item, group, diag)) {
-                ok = false;
-                continue;
-            }
-            if (!validGroupName(group.name)) {
-                diag.error(item.loc, "[[topology.rows]] name '" +
+        for (std::size_t i = 0; i < groups.size(); ++i) {
+            const cluster::TopologyRowGroup &group = groups[i];
+            const SourceLoc &loc = rows->items[i].loc;
+            if (!cluster::validGroupName(group.name)) {
+                diag.error(loc, "[[topology.rows]] name '" +
                            group.name + "' must be lowercase "
                            "[a-z0-9_] (it becomes a metric-path "
                            "segment)");
                 ok = false;
             }
-            if (group.server != "DGX-A100-80GB" &&
-                group.server != "DGX-A100-40GB" &&
-                group.server != "DGX-H100") {
-                diag.error(item.loc, "[[topology.rows]] '" +
-                           group.name + "': unknown server preset '" +
-                           group.server + "' (use DGX-A100-80GB|"
-                           "DGX-A100-40GB|DGX-H100)");
+            std::string problem = unknownPreset(
+                power::ServerSpec::presets(), "server", group.server);
+            if (!problem.empty()) {
+                diag.error(loc, "[[topology.rows]] '" + group.name +
+                           "': " + problem);
                 ok = false;
             }
             if (!catalog.contains(group.model)) {
-                diag.error(item.loc, "[[topology.rows]] '" +
-                           group.name + "': unknown model '" +
-                           group.model + "' (not in the Table 3 "
-                           "catalog)");
+                diag.error(loc, "[[topology.rows]] '" + group.name +
+                           "': unknown model '" + group.model +
+                           "' (not in the Table 3 catalog)");
                 ok = false;
             }
-            for (const cluster::TopologyRowGroup &other :
-                 config.topology.groups) {
-                if (other.name == group.name) {
-                    diag.error(item.loc, "[[topology.rows]] "
-                               "duplicate group name '" + group.name +
-                               "'");
+            for (std::size_t j = 0; j < i; ++j) {
+                if (groups[j].name == group.name) {
+                    diag.error(loc, "[[topology.rows]] duplicate "
+                               "group name '" + group.name + "'");
                     ok = false;
                 }
             }
-            config.topology.groups.push_back(group);
         }
     }
 
     if (config.topology.enabled) {
-        if (config.topology.groups.empty()) {
+        if (groups.empty()) {
             diag.error(section->loc, "[topology]: enabled without "
                        "any [[topology.rows]] groups");
             ok = false;
@@ -637,6 +713,32 @@ bindTopology(const ConfigNode &root, core::ExperimentConfig &config,
                        "support chaos generation ([chaos])");
             ok = false;
         }
+        // Flat-row knobs a site never reads: reject any value but
+        // the default rather than drop it silently.
+        static const core::ExperimentConfig defaults;
+        auto rejectUnread = [&](const auto &schema, const auto &value,
+                                const auto &fallback,
+                                std::initializer_list<const char *> keys) {
+            for (const char *key : keys) {
+                if (schema.formatValue(value, key) ==
+                    schema.formatValue(fallback, key))
+                    continue;
+                std::string path = schema.name() + "." + key;
+                const ConfigNode *node = root.findPath(path);
+                diag.error(node ? node->loc : section->loc,
+                           "[topology]: site mode does not read " +
+                           path + "; configure the site in [topology]");
+                ok = false;
+            }
+        };
+        rejectUnread(rowConfigSchema(), config.row, defaults.row,
+                     {"base_servers", "added_server_fraction",
+                      "lp_server_fraction", "provisioned_per_server_watts",
+                      "telemetry_interval",
+                      "telemetry_dropout_probability"});
+        rejectUnread(experimentSchema(), config, defaults,
+                     {"model_breaker", "breaker_limit_fraction",
+                      "breaker_trip_duration"});
     }
     return ok;
 }
@@ -660,28 +762,36 @@ bindExperiment(const ConfigNode &root, core::ExperimentConfig &config,
         return false;
     }
 
+    // Known top-level sections: the table's heads, plus [sweep]
+    // (consumed before binding).
+    std::vector<std::string> known;
+    forEachSection([&](const auto &s) {
+        std::string head(s.header, std::strcspn(s.header, "."));
+        if (std::find(known.begin(), known.end(), head) == known.end())
+            known.push_back(head);
+    });
+    known.push_back("sweep");
+
     bool ok = true;
     for (const auto &[key, node] : root.entries) {
-        const std::vector<std::string> &known = topLevelSections();
         if (std::find(known.begin(), known.end(), key) ==
             known.end()) {
-            std::string near = nearestKey(key, known);
             diag.error(node.loc, "unknown top-level " +
                        std::string(node.kind ==
                                            ConfigNode::Kind::Section
                                        ? "section ["
                                        : "entry [") + key + "]" +
-                       (near.empty() ? ""
-                                     : " (did you mean '" + near +
-                                           "'?)"));
+                       didYouMean(key, known));
             ok = false;
         }
     }
 
-    if (const ConfigNode *experiment = root.find("experiment")) {
-        if (!experimentSchema().apply(*experiment, config, diag))
-            ok = false;
-    }
+    forEachSection([&](const auto &s) {
+        if constexpr (formOf<decltype(s)> == Form::Plain) {
+            if (const ConfigNode *node = root.find(s.header))
+                ok = s.schema.apply(*node, s.get(config), diag) && ok;
+        }
+    });
     if (const ConfigNode *row = root.find("row")) {
         if (!bindRow(*row, config.row, diag))
             ok = false;
@@ -690,54 +800,10 @@ bindExperiment(const ConfigNode &root, core::ExperimentConfig &config,
         ok = false;
     if (!bindPolicy(root, config.row, config.policy, diag))
         ok = false;
-    if (const ConfigNode *manager = root.find("manager")) {
-        if (!managerOptionsSchema().apply(*manager, config.manager,
-                                          diag))
-            ok = false;
-    }
     if (!bindWorkload(root, config, diag))
         ok = false;
     if (!bindFaults(root, config, diag))
         ok = false;
-    if (const ConfigNode *chaos = root.find("chaos")) {
-        if (!chaosConfigSchema().apply(*chaos, config.chaos, diag)) {
-            ok = false;
-        } else {
-            // Range sanity the per-field bounds cannot express.
-            auto checkRange = [&](const char *what, sim::Tick min,
-                                  sim::Tick max) {
-                if (min > max) {
-                    diag.error(chaos->loc,
-                               std::string("[chaos]: ") + what +
-                               " duration range is inverted "
-                               "(min > max)");
-                    ok = false;
-                }
-            };
-            const faults::ChaosConfig &c = config.chaos;
-            checkRange("blackout", c.blackoutDurationMin,
-                       c.blackoutDurationMax);
-            checkRange("sensor-fault", c.sensorFaultDurationMin,
-                       c.sensorFaultDurationMax);
-            checkRange("oob-outage", c.oobOutageDurationMin,
-                       c.oobOutageDurationMax);
-            checkRange("crash-downtime", c.crashDowntimeMin,
-                       c.crashDowntimeMax);
-            checkRange("controller-downtime",
-                       c.controllerDowntimeMin,
-                       c.controllerDowntimeMax);
-        }
-    }
-    if (const ConfigNode *safety = root.find("safety")) {
-        if (!safetyOptionsSchema().apply(*safety, config.safety,
-                                         diag))
-            ok = false;
-    }
-    if (const ConfigNode *obsSection = root.find("obs")) {
-        if (!obsOptionsSchema().apply(*obsSection, config.obsOptions,
-                                      diag))
-            ok = false;
-    }
     // After [faults]/[chaos]: site mode rejects armed plans.
     if (!bindTopology(root, config, diag))
         ok = false;
@@ -988,46 +1054,6 @@ loadScenarioFile(const std::string &path,
     return expandAndBind(std::move(root), stem, overrides, diag);
 }
 
-namespace {
-
-/** Section header + schema dump with provenance from the source
- *  tree. */
-template <typename T>
-void
-dumpSection(std::ostream &os, const std::string &header, const T &obj,
-            const StructSchema<T> &schema, const ConfigNode &source,
-            const std::string &sourcePath,
-            const std::string &fallbackOrigin = "default")
-{
-    os << "[" << header << "]\n";
-    const ConfigNode *section = source.findPath(sourcePath);
-    schema.dump(obj, section, os, fallbackOrigin);
-    os << "\n";
-}
-
-/** Array-of-tables dump: one [[header]] block per element. */
-template <typename T>
-void
-dumpBlocks(std::ostream &os, const std::string &header,
-           const std::vector<T> &items, const StructSchema<T> &schema,
-           const ConfigNode &source, const std::string &sourcePath,
-           const std::string &fallbackOrigin)
-{
-    const ConfigNode *list = source.findPath(sourcePath);
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        const ConfigNode *element = nullptr;
-        if (list && list->kind == ConfigNode::Kind::List &&
-            i < list->items.size() &&
-            list->items[i].kind == ConfigNode::Kind::Section)
-            element = &list->items[i];
-        os << "[[" << header << "]]\n";
-        schema.dump(items[i], element, os, fallbackOrigin);
-        os << "\n";
-    }
-}
-
-} // namespace
-
 void
 dumpResolved(const core::ExperimentConfig &config,
              const ConfigNode &source, std::ostream &os)
@@ -1038,224 +1064,49 @@ dumpResolved(const core::ExperimentConfig &config,
           "sweep | preset:<name>\n"
           "# Rerun with: polcactl run --scenario-file <this file>\n"
           "\n";
-
-    dumpSection(os, "experiment", config, experimentSchema(), source,
-                "experiment");
-    dumpSection(os, "row", config.row, rowConfigSchema(), source,
-                "row");
-    dumpSection(os, "row.server", config.row.serverSpec,
-                serverSpecSchema(), source, "row.server",
-                "preset:" + config.row.serverSpec.name);
-    dumpSection(os, "row.server.gpu", config.row.serverSpec.gpu,
-                gpuSpecSchema(), source, "row.server.gpu",
-                "preset:" + config.row.serverSpec.gpu.name);
-
-    llm::ModelSpec model = effectiveModelSpec(config.row);
-    dumpSection(os, "model", model, modelSpecSchema(), source,
-                "model", "catalog:" + model.name);
-
-    // Policy: dump preset "none" plus the explicit resolved rules so
-    // reparsing rebuilds the exact rule set with no preset involved.
-    os << "[policy]\n";
-    os << "preset = \"none\"  # resolved\n";
-    {
-        const ConfigNode *section = source.findPath("policy");
-        std::string fallback = "preset";
-        if (section) {
-            if (const ConfigNode *preset = section->find("preset"))
-                fallback = "preset (" + preset->origin + ")";
-        }
-        policyConfigSchema().dump(config.policy, section, os,
-                                  section ? fallback : "default");
-    }
-    os << "\n";
-    dumpBlocks(os, "policy.rules", config.policy.rules,
-               thresholdRuleSchema(), source, "policy.rules",
-               "preset:" + config.policy.name);
-
-    dumpSection(os, "manager", config.manager,
-                managerOptionsSchema(), source, "manager");
-    dumpSection(os, "workload.diurnal", config.diurnal,
-                diurnalSchema(), source, "workload.diurnal");
-    dumpBlocks(os, "workload.mix", config.mix, workloadSpecSchema(),
-               source, "workload.mix", "default");
-
-    const faults::FaultPlan &plan = config.faultPlan;
-    std::string faultFallback = "default";
-    if (const ConfigNode *faultsSection = source.findPath("faults")) {
-        if (const ConfigNode *scenario =
-                faultsSection->find("scenario")) {
-            std::string name, err;
-            if (parseStringToken(scenario->raw, name, err))
-                faultFallback = "preset:" + name;
-        }
-    }
-    dumpSection(os, "faults.bursty_loss", plan.burstyLoss,
-                burstyLossSchema(), source, "faults.bursty_loss",
-                faultFallback);
-    dumpBlocks(os, "faults.blackouts", plan.blackouts,
-               blackoutSchema(), source, "faults.blackouts",
-               faultFallback);
-    dumpBlocks(os, "faults.sensor_faults", plan.sensorFaults,
-               sensorFaultSchema(), source, "faults.sensor_faults",
-               faultFallback);
-    dumpBlocks(os, "faults.oob_outages", plan.oobOutages,
-               oobOutageSchema(), source, "faults.oob_outages",
-               faultFallback);
-    dumpBlocks(os, "faults.crashes", plan.crashes,
-               serverCrashSchema(), source, "faults.crashes",
-               faultFallback);
-    dumpBlocks(os, "faults.controller_crashes", plan.controllerCrashes,
-               controllerCrashSchema(), source,
-               "faults.controller_crashes", faultFallback);
-
-    dumpSection(os, "chaos", config.chaos, chaosConfigSchema(),
-                source, "chaos");
-    dumpSection(os, "safety", config.safety, safetyOptionsSchema(),
-                source, "safety");
-    dumpSection(os, "obs", config.obsOptions, obsOptionsSchema(),
-                source, "obs");
-    dumpSection(os, "topology", config.topology,
-                topologyConfigSchema(), source, "topology");
-    dumpBlocks(os, "topology.rows", config.topology.groups,
-               topologyRowGroupSchema(), source, "topology.rows",
-               "default");
+    forEachSection(
+        [&](const auto &s) { writeSection(os, s, config, source); });
 }
 
 std::string
-warmupDigest(const core::ExperimentConfig &config,
-             const ConfigNode &source)
+warmupDigest(const core::ExperimentConfig &config, const ConfigNode &)
 {
-    std::ostringstream dump;
-    dumpResolved(config, source, dump);
-
-    // The control plane does not exist before t = warmup, so any
-    // section that only configures it cannot influence the warmup
-    // prefix and is dropped from the digest.  Everything else —
-    // deployment, model, workload, [obs] cadence, topology, seed,
-    // warmup itself — stays in.
-    static const char *const controlSections[] = {
-        "policy", "manager", "safety", "faults", "chaos"};
-
-    std::istringstream in(dump.str());
-    std::string filtered, line;
-    filtered.reserve(dump.str().size());
-    bool skip = false;
-    bool inExperiment = false;
-    while (std::getline(in, line)) {
-        if (!line.empty() && line.front() == '[') {
-            std::string name = line;
-            while (!name.empty() && name.front() == '[')
-                name.erase(name.begin());
-            while (!name.empty() && name.back() == ']')
-                name.pop_back();
-            std::string head = name.substr(0, name.find('.'));
-            skip = false;
-            for (const char *section : controlSections)
-                skip = skip || head == section;
-            inExperiment = name == "experiment";
-            if (skip)
-                continue;
-        } else if (skip) {
-            continue;
-        } else if (inExperiment &&
-                   (line.rfind("managed ", 0) == 0 ||
-                    line.rfind("record_row_series ", 0) == 0)) {
-            // [experiment] knobs that only steer the control plane
-            // or post-run reporting.
-            continue;
-        }
-        filtered += line;
-        filtered += '\n';
-    }
-    return obs::fnv1a64Hex(filtered);
+    // Of [experiment], `managed` and `record_row_series` steer only
+    // the control plane and post-run reporting: pin them on a copy.
+    // Against an empty source every field's provenance is its
+    // section's fallback, a function of the values alone.
+    core::ExperimentConfig physical = config;
+    physical.managed = true;
+    physical.recordRowSeries = false;
+    const ConfigNode noSource;
+    std::ostringstream os;
+    forEachSection([&](const auto &s) {
+        if (!s.control)
+            writeSection(os, s, physical, noSource);
+    });
+    return obs::fnv1a64Hex(os.str());
 }
 
 bool
 resolvedConfigsEqual(const core::ExperimentConfig &a,
                      const core::ExperimentConfig &b)
 {
-    if (!experimentSchema().equal(a, b))
-        return false;
-    if (!rowConfigSchema().equal(a.row, b.row))
-        return false;
-    if (!serverSpecSchema().equal(a.row.serverSpec, b.row.serverSpec))
-        return false;
-    if (!gpuSpecSchema().equal(a.row.serverSpec.gpu,
-                               b.row.serverSpec.gpu))
-        return false;
-    if (!modelSpecSchema().equal(effectiveModelSpec(a.row),
-                                 effectiveModelSpec(b.row)))
-        return false;
-    if (!policyConfigSchema().equal(a.policy, b.policy))
-        return false;
-    if (a.policy.rules.size() != b.policy.rules.size())
-        return false;
-    for (std::size_t i = 0; i < a.policy.rules.size(); ++i) {
-        if (!thresholdRuleSchema().equal(a.policy.rules[i],
-                                         b.policy.rules[i]))
-            return false;
-    }
-    if (!managerOptionsSchema().equal(a.manager, b.manager))
-        return false;
-    if (!diurnalSchema().equal(a.diurnal, b.diurnal))
-        return false;
-    if (a.mix.size() != b.mix.size())
-        return false;
-    for (std::size_t i = 0; i < a.mix.size(); ++i) {
-        if (!workloadSpecSchema().equal(a.mix[i], b.mix[i]))
-            return false;
-    }
-    const faults::FaultPlan &fa = a.faultPlan;
-    const faults::FaultPlan &fb = b.faultPlan;
-    if (!burstyLossSchema().equal(fa.burstyLoss, fb.burstyLoss))
-        return false;
-    if (fa.blackouts.size() != fb.blackouts.size() ||
-        fa.sensorFaults.size() != fb.sensorFaults.size() ||
-        fa.oobOutages.size() != fb.oobOutages.size() ||
-        fa.crashes.size() != fb.crashes.size())
-        return false;
-    for (std::size_t i = 0; i < fa.blackouts.size(); ++i) {
-        if (!blackoutSchema().equal(fa.blackouts[i], fb.blackouts[i]))
-            return false;
-    }
-    for (std::size_t i = 0; i < fa.sensorFaults.size(); ++i) {
-        if (!sensorFaultSchema().equal(fa.sensorFaults[i],
-                                       fb.sensorFaults[i]))
-            return false;
-    }
-    for (std::size_t i = 0; i < fa.oobOutages.size(); ++i) {
-        if (!oobOutageSchema().equal(fa.oobOutages[i],
-                                     fb.oobOutages[i]))
-            return false;
-    }
-    for (std::size_t i = 0; i < fa.crashes.size(); ++i) {
-        if (!serverCrashSchema().equal(fa.crashes[i], fb.crashes[i]))
-            return false;
-    }
-    if (fa.controllerCrashes.size() != fb.controllerCrashes.size())
-        return false;
-    for (std::size_t i = 0; i < fa.controllerCrashes.size(); ++i) {
-        if (!controllerCrashSchema().equal(fa.controllerCrashes[i],
-                                           fb.controllerCrashes[i]))
-            return false;
-    }
-    if (!chaosConfigSchema().equal(a.chaos, b.chaos))
-        return false;
-    if (!safetyOptionsSchema().equal(a.safety, b.safety))
-        return false;
-    if (!obsOptionsSchema().equal(a.obsOptions, b.obsOptions))
-        return false;
-    if (!topologyConfigSchema().equal(a.topology, b.topology))
-        return false;
-    if (a.topology.groups.size() != b.topology.groups.size())
-        return false;
-    for (std::size_t i = 0; i < a.topology.groups.size(); ++i) {
-        if (!topologyRowGroupSchema().equal(a.topology.groups[i],
-                                            b.topology.groups[i]))
-            return false;
-    }
-    return true;
+    bool equal = true;
+    forEachSection([&](const auto &s) {
+        if (!equal)
+            return;
+        const auto &x = s.get(a);
+        const auto &y = s.get(b);
+        if constexpr (formOf<decltype(s)> == Form::Blocks) {
+            equal = std::equal(x.begin(), x.end(), y.begin(), y.end(),
+                               [&](const auto &p, const auto &q) {
+                                   return s.schema.equal(p, q);
+                               });
+        } else {
+            equal = s.schema.equal(x, y);
+        }
+    });
+    return equal;
 }
 
 } // namespace polca::config

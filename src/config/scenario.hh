@@ -105,7 +105,8 @@ ScenarioSet loadScenarioFile(const std::string &path,
                              Diagnostics &diag);
 
 /**
- * Dump the fully-resolved effective configuration of @p config as a
+ * Dump the fully-resolved effective configuration of @p config, one
+ * section of the scenario layer's section table after another, as a
  * reparseable scenario file with per-value provenance comments.
  * @p source is the effective source tree the config was bound from
  * (ResolvedScenario::tree); pass an empty section for pure-default
@@ -115,24 +116,23 @@ void dumpResolved(const core::ExperimentConfig &config,
                   const ConfigNode &source, std::ostream &os);
 
 /**
- * Equality over everything the scenario layer binds (scalars of all
- * bound structs, policy rules, workload mix, fault plan, and the
- * effective model spec).  The basis of the dump -> reparse identity
- * guarantee.
+ * Equality over the section table dumpResolved() writes, field by
+ * field in canonical formatting.  The basis of the dump -> reparse
+ * identity guarantee.
  */
 bool resolvedConfigsEqual(const core::ExperimentConfig &a,
                           const core::ExperimentConfig &b);
 
 /**
- * Digest of a point's *warmup prefix*: fnv1a64Hex over the resolved
- * dump (dumpResolved) with every control-plane section filtered out
- * — [policy*], [manager], [safety], [faults*], [chaos] — plus the
- * [experiment] keys that only steer the control plane or post-run
- * reporting (`managed`, `record_row_series`).  Two points with equal
- * digests share a bit-identical physical trajectory up to
- * t = warmup, because the control plane does not exist before the
- * boundary in a warmup run: that is the grouping key for
- * checkpoint/branch sweep execution (core::SweepPoint::warmupKey).
+ * Digest of a point's *warmup prefix*: fnv1a64Hex over the values of
+ * the section table's physical sections (all but [policy*],
+ * [manager], [faults*], [chaos] and [safety]), with [experiment]
+ * `managed` and `record_row_series` pinned.  Provenance does not
+ * enter it; @p source is unused.  Two points with equal digests share
+ * a bit-identical physical trajectory up to t = warmup, because the
+ * control plane does not exist before the boundary in a warmup run:
+ * that is the grouping key for checkpoint/branch sweep execution
+ * (core::SweepPoint::warmupKey).
  */
 std::string warmupDigest(const core::ExperimentConfig &config,
                          const ConfigNode &source);

@@ -276,8 +276,18 @@ class StructSchema
         return *this;
     }
 
+    /** Add a cross-field check, run by apply() once every entry
+     *  bound: it returns "" or a problem to report at the section. */
+    StructSchema &
+    check(std::function<std::string(const T &)> problem)
+    {
+        checks_.push_back(std::move(problem));
+        return *this;
+    }
+
     /**
-     * Apply a section's scalar entries onto @p obj.  Keys in
+     * Apply a section's scalar entries onto @p obj, then the checks.
+     * Keys in
      * @p extraAllowed are skipped (they are consumed by the caller:
      * presets, nested sections).  Unknown keys error with a nearest-
      * key suggestion.  @return false when any entry failed.
@@ -295,12 +305,9 @@ class StructSchema
                 std::vector<std::string> known = keys();
                 known.insert(known.end(), extraAllowed.begin(),
                              extraAllowed.end());
-                std::string near = nearestKey(key, known);
                 diag.error(node.loc, "unknown key '" + key +
                            "' in [" + name_ + "]" +
-                           (near.empty() ? ""
-                                         : " (did you mean '" + near +
-                                               "'?)"));
+                           didYouMean(key, known));
                 ok = false;
                 continue;
             }
@@ -312,6 +319,15 @@ class StructSchema
             }
             if (!f->parse(obj, node, diag))
                 ok = false;
+        }
+        if (!ok)
+            return false;
+        for (const auto &check : checks_) {
+            std::string problem = check(obj);
+            if (!problem.empty()) {
+                diag.error(section.loc, problem);
+                ok = false;
+            }
         }
         return ok;
     }
@@ -391,6 +407,7 @@ class StructSchema
 
     std::string name_;
     std::vector<Field> fields_;
+    std::vector<std::function<std::string(const T &)>> checks_;
 };
 
 } // namespace polca::config

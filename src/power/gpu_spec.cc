@@ -58,15 +58,19 @@ GpuSpec::h100_80gb()
     return spec;
 }
 
+std::vector<GpuSpec>
+GpuSpec::presets()
+{
+    return {a100_80gb(), a100_40gb(), h100_80gb()};
+}
+
 GpuSpec
 GpuSpec::byName(const std::string &name)
 {
-    if (name == "A100-80GB")
-        return a100_80gb();
-    if (name == "A100-40GB")
-        return a100_40gb();
-    if (name == "H100-80GB")
-        return h100_80gb();
+    for (const GpuSpec &spec : presets()) {
+        if (spec.name == name)
+            return spec;
+    }
     sim::fatal("GpuSpec::byName: unknown GPU '", name, "'");
 }
 

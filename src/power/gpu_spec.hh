@@ -12,6 +12,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "sim/types.hh"
 
@@ -70,6 +71,9 @@ struct GpuSpec
 
     /** NVIDIA H100 80GB SXM (Section 6.7 forward-looking entry). */
     static GpuSpec h100_80gb();
+
+    /** Every spec above, each under its own name. */
+    static std::vector<GpuSpec> presets();
 
     /** Look up a spec by name; fatal() on unknown names. */
     static GpuSpec byName(const std::string &name);

@@ -52,6 +52,12 @@ ServerSpec::dgxH100()
     return spec;
 }
 
+std::vector<ServerSpec>
+ServerSpec::presets()
+{
+    return {dgxA100_80gb(), dgxA100_40gb(), dgxH100()};
+}
+
 double
 ServerSpec::provisionedGpuWatts() const
 {

@@ -58,6 +58,9 @@ struct ServerSpec
     /** DGX H100 (10.2 kW, Section 6.7). */
     static ServerSpec dgxH100();
 
+    /** Every spec above, each under its own name. */
+    static std::vector<ServerSpec> presets();
+
     /** Provisioned GPU power = numGpus * gpu TDP. */
     double provisionedGpuWatts() const;
 

@@ -3,8 +3,9 @@
  * Scenario-layer tests: binding a parsed tree into an
  * ExperimentConfig, the defaults < file < --set < sweep precedence
  * chain, cartesian sweep expansion with labels, hostile scenarios
- * with line-precise suggestions, and the headline guarantee that
- * dumpResolved() output reparses to the identical resolved config.
+ * with line-precise suggestions, the headline guarantee that
+ * dumpResolved() output reparses to the identical resolved config,
+ * and which sections the warmup digest keeps.
  */
 
 #include <gtest/gtest.h>
@@ -514,6 +515,100 @@ TEST(Scenario, DumpCarriesEverySection)
     EXPECT_EQ(c.topology.groups[0].server, "DGX-A100-40GB");
     EXPECT_EQ(c.topology.groups[0].model, "Llama2-70B");
     EXPECT_EQ(c.topology.groups[0].serversPerRack, 4);
+}
+
+/** warmupDigest of the single point of @p text plus @p overrides. */
+std::string
+digestOf(const std::string &text,
+         const std::vector<std::string> &overrides = {})
+{
+    ScenarioSet set = load("[experiment]\n"
+                           "duration = 1h\n"
+                           "warmup = 10min\n" +
+                               text,
+                           overrides);
+    EXPECT_EQ(set.points.size(), 1u);
+    if (set.points.empty())
+        return {};
+    return warmupDigest(set.points[0].config, set.points[0].tree);
+}
+
+/** The digest keeps exactly the sections that shape the world before
+ *  t = warmup: a control-plane change shares the warmup, a physical
+ *  one does not. */
+TEST(Scenario, WarmupDigestClassifiesSections)
+{
+    const std::string base = digestOf("");
+    ASSERT_FALSE(base.empty());
+
+    const std::vector<std::string> control = {
+        "policy.preset=1tlp",
+        "manager.watchdog_timeout=40s",
+        "safety.max_brake_time_fraction=0.2",
+        "faults.bursty_loss.enabled=true",
+        "chaos.intensity=0.5",
+        "experiment.managed=false",
+        "experiment.record_row_series=true",
+    };
+    for (const std::string &change : control)
+        EXPECT_EQ(digestOf("", {change}), base) << change;
+    EXPECT_EQ(digestOf("[[faults.blackouts]]\n"
+                       "start = 20min\n"
+                       "duration = 5min\n"),
+              base);
+
+    const std::vector<std::string> physical = {
+        "row.base_servers=12",
+        "row.server.rated_power_watts=7000",
+        "row.server.gpu.tdp_watts=390",
+        "model.token_time_ms=90",
+        "workload.diurnal.base_utilization=0.5",
+        "obs.interval=60",
+        "topology.row_budget_fraction=0.9",
+        "experiment.seed=7",
+        "experiment.warmup=20min",
+        "experiment.duration=2h",
+    };
+    for (const std::string &change : physical)
+        EXPECT_NE(digestOf("", {change}), base) << change;
+    EXPECT_NE(digestOf("[[workload.mix]]\n"
+                       "name = \"chat\"\n"
+                       "prompt_min = 10\n"
+                       "prompt_max = 100\n"
+                       "output_min = 5\n"
+                       "output_max = 50\n"
+                       "traffic_fraction = 1\n"
+                       "high_priority_fraction = 0.3\n"),
+              base);
+    EXPECT_NE(digestOf("[[topology.rows]]\nname = \"a\"\n"), base);
+
+    // Provenance is not part of the digest: the same value from the
+    // file or from the command line shares the warmup.
+    EXPECT_EQ(digestOf("[row]\nbase_servers = 12\n"),
+              digestOf("", {"row.base_servers=12"}));
+}
+
+/** The harness overwrites row.record_power_series with
+ *  experiment.record_row_series, so only the default binds. */
+TEST(Scenario, RowRecordPowerSeriesRejected)
+{
+    EXPECT_NE(loadError("[row]\n"
+                        "base_servers = 4\n"
+                        "record_power_series = true\n")
+                  .find("test.toml:3: row.record_power_series is set "
+                        "from experiment.record_row_series"),
+              std::string::npos);
+    EXPECT_NE(loadError("[topology]\n"
+                        "enabled = true\n"
+                        "[[topology.rows]]\n"
+                        "name = \"a\"\n"
+                        "[row]\n"
+                        "record_power_series = true\n")
+                  .find("test.toml:6: row.record_power_series"),
+              std::string::npos);
+    ScenarioSet set = load("[row]\nrecord_power_series = false\n");
+    ASSERT_EQ(set.points.size(), 1u);
+    EXPECT_FALSE(set.points[0].config.row.recordPowerSeries);
 }
 
 } // namespace

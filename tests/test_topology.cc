@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/topology.hh"
@@ -171,6 +173,81 @@ TEST(Topology, SiteModeRejectsArmedFaultAndChaosPlans)
                                "test.toml", {}, diag2);
     EXPECT_FALSE(diag2.ok());
     EXPECT_NE(diag2.str().find("chaos"), std::string::npos);
+}
+
+/** Flat-row knobs a site never reads are rejected at their own line
+ *  when set to anything but the default; the default itself, and
+ *  experiment.record_row_series (which sites honour), still bind. */
+TEST(Topology, SiteModeRejectsFlatRowKnobs)
+{
+    const std::string site = "[topology]\n"
+                             "enabled = true\n"
+                             "[[topology.rows]]\n"
+                             "name = \"a\"\n";
+    const std::vector<std::pair<std::string, std::string>> knobs = {
+        {"row", "base_servers = 12"},
+        {"row", "added_server_fraction = 50%"},
+        {"row", "lp_server_fraction = 40%"},
+        {"row", "provisioned_per_server_watts = 5000"},
+        {"row", "telemetry_interval = 5s"},
+        {"row", "telemetry_dropout_probability = 10%"},
+        {"experiment", "model_breaker = false"},
+        {"experiment", "breaker_limit_fraction = 1.5"},
+        {"experiment", "breaker_trip_duration = 60s"},
+    };
+    for (const auto &[section, line] : knobs) {
+        std::string key = line.substr(0, line.find(' '));
+        config::Diagnostics diag;
+        config::loadScenarioString(site + "[" + section + "]\n" + line +
+                                       "\n",
+                                   "test.toml", {}, diag);
+        EXPECT_FALSE(diag.ok()) << line;
+        EXPECT_NE(diag.str().find("test.toml:6: [topology]: site mode "
+                                  "does not read " +
+                                  section + "." + key),
+                  std::string::npos)
+            << diag.str();
+
+        // The same knob is fine on a flat row.
+        config::Diagnostics flat;
+        config::loadScenarioString("[" + section + "]\n" + line + "\n",
+                                   "test.toml", {}, flat);
+        EXPECT_TRUE(flat.ok()) << line << ": " << flat.str();
+    }
+
+    config::Diagnostics diag;
+    config::ScenarioSet set = config::loadScenarioString(
+        site + "[row]\nbase_servers = 40\ntelemetry_interval = 2s\n"
+               "[experiment]\nrecord_row_series = true\n"
+               "breaker_limit_fraction = 125%\n",
+        "test.toml", {}, diag);
+    ASSERT_TRUE(diag.ok()) << diag.str();
+    EXPECT_TRUE(set.points.front().config.recordRowSeries);
+}
+
+/** A site scenario's resolved dump (which spells out every flat-row
+ *  default) reparses to the identical config. */
+TEST(Topology, SiteDumpReparses)
+{
+    config::Diagnostics diag;
+    config::ScenarioSet set = config::loadScenarioString(
+        "[topology]\n"
+        "enabled = true\n"
+        "[[topology.rows]]\n"
+        "name = \"a\"\n"
+        "[experiment]\n"
+        "record_row_series = true\n",
+        "test.toml", {}, diag);
+    ASSERT_TRUE(diag.ok()) << diag.str();
+    std::ostringstream os;
+    config::dumpResolved(set.points.front().config,
+                         set.points.front().tree, os);
+    config::Diagnostics diag2;
+    config::ScenarioSet reparsed =
+        config::loadScenarioString(os.str(), "dump.toml", {}, diag2);
+    ASSERT_TRUE(diag2.ok()) << diag2.str() << "\n" << os.str();
+    EXPECT_TRUE(config::resolvedConfigsEqual(
+        set.points.front().config, reparsed.points.front().config));
 }
 
 TEST(Topology, ForkPathDecorrelatesByNameOnly)

@@ -64,7 +64,6 @@
 #include "core/run_artifacts.hh"
 #include "core/sweep_runner.hh"
 #include "core/thread_pool.hh"
-#include "core/workload_aware.hh"
 #include "faults/fault_plan.hh"
 #include "llm/model_spec.hh"
 #include "llm/phase_model.hh"
@@ -267,25 +266,6 @@ usage()
     return 2;
 }
 
-core::PolicyConfig
-policyByName(const std::string &name)
-{
-    if (name == "polca")
-        return core::PolicyConfig::polca();
-    if (name == "1tlp")
-        return core::PolicyConfig::oneThreshLowPri();
-    if (name == "1tall")
-        return core::PolicyConfig::oneThreshAll();
-    if (name == "nocap")
-        return core::PolicyConfig::noCap();
-    if (name == "aware") {
-        return core::workloadAwarePolicy(
-            llm::ModelCatalog().byName("BLOOM-176B"));
-    }
-    sim::fatal("unknown policy '", name,
-               "' (use polca|1tlp|1tall|nocap|aware)");
-}
-
 int
 cmdModels()
 {
@@ -310,7 +290,15 @@ cmdPolicy(const Args &args)
 {
     if (args.positional().empty())
         return usage();
-    core::PolicyConfig policy = policyByName(args.positional()[0]);
+    // Resolve the name exactly as `[policy] preset = "<name>"` would.
+    config::Diagnostics diag;
+    config::ScenarioSet set = config::loadScenarioString(
+        "", "policy", {"policy.preset=" + args.positional()[0]}, diag);
+    if (!diag.ok()) {
+        std::fprintf(stderr, "%s\n", diag.str().c_str());
+        return 2;
+    }
+    const core::PolicyConfig &policy = set.points.front().config.policy;
     std::printf("Policy: %s\n", policy.name.c_str());
     analysis::Table table({"Rule", "Target", "Cap at", "Uncap at",
                            "Lock (MHz)"});
