@@ -268,15 +268,16 @@ writeSection(std::ostream &os, const S &s,
 }
 
 /**
- * Append one entry to @p out per table of the [[@p header]] array
- * @p list; with @p complete every schema key must be given.
+ * Append one entry to @p out per table of the @p list array, whose
+ * header is the schema's name; with @p complete every schema key must
+ * be given.
  */
 template <typename T>
 bool
-bindBlocks(const ConfigNode &list, const std::string &header,
-           const StructSchema<T> &schema, bool complete,
-           std::vector<T> &out, Diagnostics &diag)
+bindBlocks(const ConfigNode &list, const StructSchema<T> &schema,
+           bool complete, std::vector<T> &out, Diagnostics &diag)
 {
+    const std::string &header = schema.name();
     if (list.kind != ConfigNode::Kind::List) {
         diag.error(list.loc, header + " must be a list of [[" + header +
                    "]] tables");
@@ -341,8 +342,8 @@ bindSubsections(const ConfigNode &section, const std::string &head,
         if (!node)
             return;
         if constexpr (formOf<decltype(s)> == Form::Blocks) {
-            ok = bindBlocks(*node, s.header, s.schema, true,
-                            s.get(config), diag) && ok;
+            ok = bindBlocks(*node, s.schema, true, s.get(config),
+                            diag) && ok;
         } else if constexpr (formOf<decltype(s)> == Form::Table) {
             ok = s.schema.apply(*node, s.get(config), diag) && ok;
         }
@@ -544,8 +545,8 @@ bindPolicy(const ConfigNode &root, const cluster::RowConfig &row,
 
     if (const ConfigNode *rules = section->find("rules")) {
         policy.rules.clear();
-        if (!bindBlocks(*rules, "policy.rules", thresholdRuleSchema(),
-                        true, policy.rules, diag))
+        if (!bindBlocks(*rules, thresholdRuleSchema(), true,
+                        policy.rules, diag))
             ok = false;
     }
     return ok;
@@ -650,8 +651,8 @@ bindTopology(const ConfigNode &root, core::ExperimentConfig &config,
         config.topology.groups;
     if (const ConfigNode *rows = section->find("rows")) {
         groups.clear();
-        if (!bindBlocks(*rows, "topology.rows",
-                        topologyRowGroupSchema(), false, groups, diag))
+        if (!bindBlocks(*rows, topologyRowGroupSchema(), false, groups,
+                        diag))
             return false;
         // Every entry bound, so groups[i] came from rows->items[i].
         llm::ModelCatalog catalog;
